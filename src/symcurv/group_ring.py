@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import RowBasis
 from .permutation import Permutation, perm_rank, symmetric_group
-from .rationals import Rational, as_rational, format_rational
+from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
 MAX_DEGREE = 8
@@ -286,11 +286,16 @@ class GroupRingElement:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GroupRingElement":
-        degree = int(data["degree"])
-        terms = [
-            (Permutation(entry["perm"]), as_rational(Fraction(str(entry["coeff"]))))
-            for entry in data.get("terms", [])
-        ]
+        data = wire_json(data, dict, "element")
+        degree = wire_scalar(data["degree"], "degree", integer=True)
+        if not 1 <= degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+        terms = []
+        for entry in wire_json(data.get("terms", []), list, "terms"):
+            entry = wire_json(entry, dict, "term")
+            images = wire_json(entry["perm"], list, "perm")
+            perm = Permutation(wire_scalar(v, "permutation entry", integer=True) for v in images)
+            terms.append((perm, wire_scalar(entry["coeff"], "coefficient")))
         return cls.from_terms(degree, terms) if terms else cls.zero(degree)
 
     def to_json(self) -> str:

@@ -32,3 +32,32 @@ def parse_rational(text: str) -> Rational:
 def format_rational(value: Rational) -> str:
     """Inverse of parse_rational; '3' or '-5/7' style."""
     return str(as_rational(value))
+
+
+# -- JSON wire formats ---------------------------------------------------------
+
+
+def wire_scalar(value, what: str, integer: bool = False) -> Rational:
+    """One exact scalar read from a JSON wire format.
+
+    Accepts an int, or unless integer is set an exact-rational string such
+    as "-2/7". JSON floats and booleans are rejected, so 0.5 or true never
+    pass as exact values. Every rejection is a ValueError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and not integer:
+        try:
+            return parse_rational(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    wanted = "an integer" if integer else "an integer or an exact rational string"
+    raise ValueError(f"{what} must be {wanted}, got {value!r}")
+
+
+def wire_json(value, kind: type, what: str):
+    """value itself when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        wanted = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {wanted}, got {type(value).__name__}")
+    return value

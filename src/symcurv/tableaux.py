@@ -15,7 +15,7 @@ from itertools import product as _cartesian
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .group_ring import GroupRingElement
+from .group_ring import MAX_DEGREE, GroupRingElement
 from .permutation import Permutation
 
 Partition = tuple[int, ...]
@@ -216,8 +216,11 @@ def young_symmetrizer(t: YoungTableau) -> GroupRingElement:
     """Signed double sum over the row and column groups of the tableau.
 
     Row permutations enter with coefficient 1, column permutations with
-    their sign, composed row-then-column.
+    their sign, composed row-then-column. Tableaux beyond the group-ring
+    degree cap are refused before the groups are enumerated.
     """
+    if t.size > MAX_DEGREE:
+        raise ValueError(f"tableau on {t.size} letters exceeds the degree cap {MAX_DEGREE}")
     signed_columns = [(q, q.sign()) for q in t.vertical_group()]
     terms = []
     for p in t.horizontal_group():

@@ -13,7 +13,7 @@ Public indices are 1-based, matching the rest of the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
@@ -22,8 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .group_ring import GroupRingElement
 from .linalg import RowBasis
-from .permutation import symmetric_group
-from .rationals import Rational, as_rational, format_rational
+from .permutation import Permutation, symmetric_group
+from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
 from .tableaux import curvature_tableau, young_symmetrizer
 
 DEFAULT_RANK_CAP = 4096
@@ -143,22 +143,17 @@ class DenseTensor:
     # -- symmetry predicates -----------------------------------------------
 
     def is_fully_symmetric(self) -> bool:
-        for idx in _all_indices(self.order, self.dim):
-            v = self[idx]
-            for word in _words(idx):
-                if self[word] != v:
-                    return False
-        return True
+        """(id - (i i+1))T = 0 for every adjacent transposition."""
+        return all(
+            apply_operator(_annihilator(self.order, f"({i} {i + 1})", sign=-1), self).is_zero()
+            for i in range(1, self.order)
+        )
 
     def is_alternating(self) -> bool:
+        """(id + (1 2))T = 0 for an order-2 tensor."""
         if self.order != 2:
             raise ValueError("alternation check is for order-2 tensors")
-        n = self.dim
-        return all(
-            self[(i, j)] == -self[(j, i)]
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-        )
+        return apply_operator(_annihilator(2, "(1 2)"), self).is_zero()
 
     # -- wire form ---------------------------------------------------------
 
@@ -175,12 +170,17 @@ class DenseTensor:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DenseTensor":
-        order = int(data["order"])
-        dim = int(data["dim"])
-        entries = {
-            tuple(int(v) for v in item["idx"]): as_rational(Fraction(str(item["val"])))
-            for item in data.get("coords", [])
-        }
+        data = wire_json(data, dict, "tensor")
+        order = wire_scalar(data["order"], "order", integer=True)
+        dim = wire_scalar(data["dim"], "dim", integer=True)
+        entries = {}
+        for item in wire_json(data.get("coords", []), list, "coords"):
+            item = wire_json(item, dict, "coordinate")
+            idx = tuple(wire_scalar(v, "index entry", integer=True)
+                        for v in wire_json(item["idx"], list, "idx"))
+            if idx in entries:
+                raise ValueError(f"duplicate coordinate {list(idx)}")
+            entries[idx] = wire_scalar(item["val"], "value")
         return cls.from_entries(order, dim, entries)
 
     def to_json(self) -> str:
@@ -209,28 +209,32 @@ def _all_indices(order: int, dim: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ...]:
-    """lookup[flat(I)] = flat(I after slot permutation by p)."""
-    strides = tuple(dim ** (order - 1 - k) for k in range(order))
-    lookup = []
-    for idx in _all_indices(order, dim):
-        flat = 0
-        for k in range(order):
-            flat += (idx[images[k] - 1] - 1) * strides[k]
-        lookup.append(flat)
-    return tuple(lookup)
+    """Scatter table of the slot permutation p: lookup[flat(J)] = flat(I).
+
+    I is the index with I[p(k)] = J[k] for every slot k, so that
+    (pT)[I] = T[J]; lookup[k] is also where p sends the basis tensor e_k.
+    """
+    flats = [0]  # J runs in coordinate order; slot k of J lands in slot p(k) of I
+    for image in images:
+        stride = dim ** (order - image)
+        flats = [f + v * stride for f in flats for v in range(dim)]
+    return tuple(flats)
 
 
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
-    """Act with a group-ring element as a symmetry operator."""
+    """Act with a group-ring element as a symmetry operator.
+
+    Scatters every nonzero coordinate of T through the slot table of each
+    term, so the work is (terms of a) x (nonzeros of T).
+    """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
-    size = len(t.coords)
-    out = [0] * size
-    src = t.coords
+    out = [0] * len(t.coords)
+    support = [(j, v) for j, v in enumerate(t.coords) if v]
     for p, c in a.terms():
         lookup = _slot_lookup(p.images, t.order, t.dim)
-        for k in range(size):
-            out[k] += c * src[lookup[k]]
+        for j, v in support:
+            out[lookup[j]] += c * v
     return DenseTensor(t.order, t.dim, out)
 
 
@@ -347,8 +351,54 @@ def curvature_symmetrizer_star(u: int) -> GroupRingElement:
     return young_symmetrizer(curvature_tableau(u)).star()
 
 
+@lru_cache(maxsize=None)
+def _annihilator(order: int, *cycles: str, sign: int = 1) -> GroupRingElement:
+    """id + sign * (sum of the permutations given in cycle notation) in S_order."""
+    return GroupRingElement.from_terms(order, [(Permutation.identity(order), 1)] + [
+        (Permutation.parse(c, order), sign) for c in cycles
+    ])
+
+
+def _curvature_annihilators(order: int) -> tuple[GroupRingElement, ...]:
+    """One element per curvature identity, in the diagnostics' field order.
+
+    T satisfies an identity exactly when the element annihilates T:
+    skew pair T[ijkl] + T[ijlk] = 0 is id + (3 4), pair exchange
+    T[ijkl] = T[klij] is id - (1 3)(2 4), first Bianchi
+    T[ijkl] + T[iklj] + T[iljk] = 0 is id + (2 3 4) + (2 4 3), and on
+    order 5 the second Bianchi T[ijklm] + T[ijlmk] + T[ijmkl] = 0 is
+    id + (3 4 5) + (3 5 4).
+    """
+    table = (
+        _annihilator(order, "(3 4)"),
+        _annihilator(order, "(1 3)(2 4)", sign=-1),
+        _annihilator(order, "(2 3 4)", "(2 4 3)"),
+    )
+    if order == 5:
+        table += (_annihilator(5, "(3 4 5)", "(3 5 4)"),)
+    return table
+
+
+class _IdentityReport:
+    """Pass/fail logic shared by the diagnostics dataclasses.
+
+    Every field but the last is an identity; the last is the fixed-point
+    route, reported alongside but not part of ok.
+    """
+
+    @property
+    def ok(self) -> bool:
+        return all(getattr(self, f.name) for f in fields(self)[:-1])
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def failures(self) -> list[str]:
+        return [f.name for f in fields(self) if not getattr(self, f.name)]
+
+
 @dataclass(frozen=True)
-class CurvatureDiagnostics:
+class CurvatureDiagnostics(_IdentityReport):
     """Identity-by-identity report for an order-4 tensor."""
 
     skew_last_pair: bool
@@ -356,24 +406,9 @@ class CurvatureDiagnostics:
     first_bianchi: bool
     symmetrizer_fixed_point: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.skew_last_pair and self.pair_exchange and self.first_bianchi
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def failures(self) -> list[str]:
-        return [name for name, good in [
-            ("skew_last_pair", self.skew_last_pair),
-            ("pair_exchange", self.pair_exchange),
-            ("first_bianchi", self.first_bianchi),
-            ("symmetrizer_fixed_point", self.symmetrizer_fixed_point),
-        ] if not good]
-
 
 @dataclass(frozen=True)
-class DerivativeCurvatureDiagnostics:
+class DerivativeCurvatureDiagnostics(_IdentityReport):
     """Identity-by-identity report for an order-5 tensor."""
 
     skew_middle_pair: bool
@@ -382,86 +417,37 @@ class DerivativeCurvatureDiagnostics:
     second_bianchi: bool
     symmetrizer_fixed_point: bool
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.skew_middle_pair
-            and self.pair_exchange
-            and self.first_bianchi
-            and self.second_bianchi
-        )
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def failures(self) -> list[str]:
-        return [name for name, good in [
-            ("skew_middle_pair", self.skew_middle_pair),
-            ("pair_exchange", self.pair_exchange),
-            ("first_bianchi", self.first_bianchi),
-            ("second_bianchi", self.second_bianchi),
-            ("symmetrizer_fixed_point", self.symmetrizer_fixed_point),
-        ] if not good]
+def _diagnose(t: DenseTensor, report_type: type, u: int, eigenvalue: int):
+    identities = [apply_operator(a, t).is_zero() for a in _curvature_annihilators(t.order)]
+    fixed = apply_operator(curvature_symmetrizer_star(u), t) == t.scale(eigenvalue)
+    report = report_type(*identities, fixed)
+    if report.ok != fixed:
+        raise ArithmeticError("identity route and fixed-point route disagree")
+    return report
 
 
 def is_algebraic_curvature(t: DenseTensor) -> CurvatureDiagnostics:
     """Check the order-4 curvature identities and the fixed-point route.
 
-    The identity route and the fixed-point route (starred symmetrizer
+    Each identity is a group-ring element that must annihilate T. The
+    identity route and the fixed-point route (starred symmetrizer
     eigenvalue 12) are equivalent; a disagreement means a bug, so it
     raises instead of reporting.
     """
     _require(t.order == 4, "curvature check needs an order-4 tensor")
-    skew = True
-    exchange = True
-    bianchi = True
-    for i, j, k, l in _all_indices(4, t.dim):
-        if t[(i, j, k, l)] != -t[(i, j, l, k)]:
-            skew = False
-            break
-    for i, j, k, l in _all_indices(4, t.dim):
-        if t[(i, j, k, l)] != t[(k, l, i, j)]:
-            exchange = False
-            break
-    for i, j, k, l in _all_indices(4, t.dim):
-        if t[(i, j, k, l)] + t[(i, k, l, j)] + t[(i, l, j, k)] != 0:
-            bianchi = False
-            break
-    fixed = apply_operator(curvature_symmetrizer_star(0), t) == t.scale(12)
-    report = CurvatureDiagnostics(skew, exchange, bianchi, fixed)
-    if report.ok != fixed:
-        raise ArithmeticError("identity route and fixed-point route disagree")
-    return report
+    return _diagnose(t, CurvatureDiagnostics, 0, 12)
 
 
 def is_acdc(t: DenseTensor) -> DerivativeCurvatureDiagnostics:
     """Check the order-5 derivative-curvature identities and fixed point.
 
-    Fixed-point route: starred symmetrizer eigenvalue 24. The two routes
+    Annihilator route as for order 4, plus the second Bianchi identity;
+    fixed-point route: starred symmetrizer eigenvalue 24. The two routes
     are equivalent; disagreement raises.
     """
     _require(t.order == 5, "derivative-curvature check needs an order-5 tensor")
-    skew = all(
-        t[(i, j, k, l, m)] == -t[(i, j, l, k, m)]
-        for i, j, k, l, m in _all_indices(5, t.dim)
-    )
-    exchange = all(
-        t[(i, j, k, l, m)] == t[(k, l, i, j, m)]
-        for i, j, k, l, m in _all_indices(5, t.dim)
-    )
-    bianchi1 = all(
-        t[(i, j, k, l, m)] + t[(i, k, l, j, m)] + t[(i, l, j, k, m)] == 0
-        for i, j, k, l, m in _all_indices(5, t.dim)
-    )
-    bianchi2 = all(
-        t[(i, j, k, l, m)] + t[(i, j, l, m, k)] + t[(i, j, m, k, l)] == 0
-        for i, j, k, l, m in _all_indices(5, t.dim)
-    )
-    fixed = apply_operator(curvature_symmetrizer_star(1), t) == t.scale(24)
-    report = DerivativeCurvatureDiagnostics(skew, exchange, bianchi1, bianchi2, fixed)
-    if report.ok != fixed:
-        raise ArithmeticError("identity route and fixed-point route disagree")
-    return report
+    return _diagnose(t, DerivativeCurvatureDiagnostics, 1, 24)
 
 
 # -- rank computations --------------------------------------------------------
@@ -471,9 +457,12 @@ def projector_rank(a: GroupRingElement, dim: int,
                    max_dim: int = DEFAULT_RANK_CAP) -> int:
     """Rank of T -> aT on order-r tensors over a dim-dimensional space.
 
-    Materializes the operator matrix row by row and eliminates exactly.
+    Eliminates the images a.e_k of the coordinate basis exactly. They are
+    the columns of the operator matrix, so their rank is its rank.
     Refuses when dim**degree exceeds max_dim.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     size = dim ** a.degree
     if size > max_dim:
         raise ValueError(

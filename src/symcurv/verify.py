@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .dft import fourier_eta, fourier_xi
 from .group_ring import GroupRingElement, stabilizer_symmetrizer
@@ -45,6 +46,9 @@ NU_SAMPLES: tuple[Rational, ...] = (
 # Parameters exercised by the generator checks: the full-rank family
 # plus the single failing value.
 NU_GENERATOR_CASES: tuple[Rational, ...] = (0, 1, -1, 2, Fraction(1, 2))
+
+# (nu, epsilon, u_first) of every mixed-class check, eta (nu None) last.
+MIXED_CLASS_CASES = tuple(product((*NU_GENERATOR_CASES, None), (1, -1), (False, True)))
 
 FULL_RANK_DIM3 = 15  # content-over-hook dimension of the order-5 class at n = 3
 
@@ -196,9 +200,12 @@ def check_sigma_nonzero() -> CheckReport:
                    "sigma_1 and sigma_2 are nonzero with right ideals of rank 5")
 
 
+def _dichotomy_name(u_first: bool) -> str:
+    return f"dichotomy[{'order3-first' if u_first else 'order2-first'}]"
+
+
 def _check_dichotomy_variant(u_first: bool) -> CheckReport:
-    order = "order3-first" if u_first else "order2-first"
-    name = f"dichotomy[{order}]"
+    name = _dichotomy_name(u_first)
     failures = []
     half = Fraction(1, 2)
     for epsilon in (1, -1):
@@ -282,11 +289,15 @@ def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> i
     return generator_span_rank(products)
 
 
+def _mixed_class_name(nu: Rational | None, epsilon: int, u_first: bool) -> str:
+    return f"mixed_class_generators[{_class_label(nu)},{_type_label(epsilon, u_first)}]"
+
+
 def check_mixed_class_generators(nu: Rational | None, epsilon: int,
                                  u_first: bool) -> CheckReport:
     """Mixed pairs generate the full class exactly when the triple class is not f's."""
     nu = None if nu is None else as_rational(nu)
-    name = f"mixed_class_generators[{_class_label(nu)},{_type_label(epsilon, u_first)}]"
+    name = _mixed_class_name(nu, epsilon, u_first)
     rank = mixed_class_span_rank(nu, epsilon, u_first)
     excluded = nu == Fraction(1, 2)
     failures = []
@@ -302,24 +313,23 @@ def check_mixed_class_generators(nu: Rational | None, epsilon: int,
 
 
 def all_mixed_class_checks() -> list[CheckReport]:
-    reports = []
-    for nu in (*NU_GENERATOR_CASES, None):
-        for epsilon in (1, -1):
-            for u_first in (False, True):
-                reports.append(check_mixed_class_generators(nu, epsilon, u_first))
-    return reports
+    return [check_mixed_class_generators(*case) for case in MIXED_CLASS_CASES]
+
+
+# Report name -> check, in suite order. The thunks look the check functions
+# up when called, so a check rebound at module level is the one that runs.
+CHECKS: dict[str, Callable[[], CheckReport]] = {
+    "xi_half_idempotent": lambda: check_xi_half_is_f(),
+    "admissible_pairs": lambda: check_admissible_pairs(),
+    "sigma_nonzero": lambda: check_sigma_nonzero(),
+    **{_dichotomy_name(f): lambda f=f: _check_dichotomy_variant(f) for f in (False, True)},
+    "gamma_hat_generators": lambda: check_gamma_hat_generators(),
+    **{_mixed_class_name(*case): lambda case=case: check_mixed_class_generators(*case)
+       for case in MIXED_CLASS_CASES},
+}
 
 
 def run_all(only: str | None = None) -> list[CheckReport]:
-    """Run the full suite; filter by exact name or name prefix."""
-    reports: list[CheckReport] = [
-        check_xi_half_is_f(),
-        check_admissible_pairs(),
-        check_sigma_nonzero(),
-        *check_dichotomy(),
-        check_gamma_hat_generators(),
-        *all_mixed_class_checks(),
-    ]
-    if only is not None:
-        reports = [r for r in reports if r.name == only or r.name.startswith(only)]
-    return reports
+    """Run the checks whose name starts with only (all of them by default)."""
+    return [check() for name, check in CHECKS.items()
+            if only is None or name.startswith(only)]

@@ -211,3 +211,19 @@ def test_verify_unknown_name(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--only", "nonexistent")
     assert code == 2
     assert "no check" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_rank_rejects_nonpositive_dim(capsys, dim):
+    code, out, err = run_cli(capsys, "rank", "--curvature", "0", "--dim", dim)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--curvature", "20"], ["--shape", "12"]])
+def test_symmetrizer_beyond_degree_cap_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "symmetrizer", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -152,3 +152,15 @@ def test_weyl_dimension_values():
 
 def test_pretty_renders_rows():
     assert curvature_tableau(0).pretty() == "1 3\n2 4"
+
+
+def test_young_symmetrizer_checks_degree_before_enumerating(monkeypatch):
+    def enumerated(self):
+        raise AssertionError("groups enumerated before the degree check")
+
+    monkeypatch.setattr(YoungTableau, "horizontal_group", enumerated)
+    monkeypatch.setattr(YoungTableau, "vertical_group", enumerated)
+    with pytest.raises(ValueError, match="degree cap"):
+        young_symmetrizer(curvature_tableau(20))
+    with pytest.raises(ValueError, match="degree cap"):
+        young_symmetrizer(YoungTableau([range(1, 10)]))

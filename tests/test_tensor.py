@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -400,3 +401,137 @@ def test_basis_family_sizes():
     assert len(coordinate_basis(2, 3)) == 9
     assert all(t.is_fully_symmetric() for t in symmetric_order3_basis(3))
     assert all(t.is_alternating() for t in alternating_basis(3))
+
+
+# -- index-loop oracle for the annihilator route -------------------------------
+#
+# The identity checks used to be written as loops over every index; they are
+# kept here as an independent reference for the group-ring annihilators.
+
+
+def _indices(order, dim):
+    return itertools.product(range(1, dim + 1), repeat=order)
+
+
+def reference_curvature(t):
+    idx = list(_indices(4, t.dim))
+    return (
+        all(t[(i, j, k, l)] == -t[(i, j, l, k)] for i, j, k, l in idx),
+        all(t[(i, j, k, l)] == t[(k, l, i, j)] for i, j, k, l in idx),
+        all(t[(i, j, k, l)] + t[(i, k, l, j)] + t[(i, l, j, k)] == 0 for i, j, k, l in idx),
+    )
+
+
+def reference_acdc(t):
+    idx = list(_indices(5, t.dim))
+    return (
+        all(t[(i, j, k, l, m)] == -t[(i, j, l, k, m)] for i, j, k, l, m in idx),
+        all(t[(i, j, k, l, m)] == t[(k, l, i, j, m)] for i, j, k, l, m in idx),
+        all(t[(i, j, k, l, m)] + t[(i, k, l, j, m)] + t[(i, l, j, k, m)] == 0
+            for i, j, k, l, m in idx),
+        all(t[(i, j, k, l, m)] + t[(i, j, l, m, k)] + t[(i, j, m, k, l)] == 0
+            for i, j, k, l, m in idx),
+    )
+
+
+def reference_fully_symmetric(t):
+    return all(t[word] == t[idx] for idx in _indices(t.order, t.dim)
+               for word in itertools.permutations(idx))
+
+
+def reference_alternating(t):
+    return all(t[(i, j)] == -t[(j, i)] for i, j in _indices(2, t.dim))
+
+
+def _element(degree, *terms):
+    return GroupRingElement.from_terms(degree, [(Permutation(w), c) for w, c in terms])
+
+
+def _order_samples(rng, order, dim):
+    """Random tensors, full projections, and projections that satisfy only
+    some identities (antisymmetrized last pair, or symmetrized pairs)."""
+    ident = tuple(range(1, order + 1))
+    tail = ident[4:]
+    skew_last = _element(order, (ident, 1), ((1, 2, 4, 3) + tail, -1))
+    skew_both = skew_last * _element(order, (ident, 1), ((2, 1, 3, 4) + tail, -1))
+    exchange = _element(order, (ident, 1), ((3, 4, 1, 2) + tail, 1))
+    partial = [skew_last, exchange * skew_both]
+    ystar = curvature_symmetrizer_star(order - 4)
+    out = []
+    for _ in range(4):
+        t = random_tensor(rng, order, dim, span=2)
+        out += [t, apply_operator(ystar, t)]
+        out += [apply_operator(a, t) for a in partial]
+        if order == 5:
+            # satisfies every order-4 identity in the first four slots only
+            r = apply_operator(curvature_symmetrizer_star(0), random_tensor(rng, 4, dim, span=2))
+            out.append(tensor_product(r, random_tensor(rng, 1, dim, span=2)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])  # first Bianchi is independent from n = 4
+def test_curvature_annihilators_match_index_loops(dim):
+    rng = random.Random(40 + dim)
+    for t in _order_samples(rng, 4, dim):
+        report = is_algebraic_curvature(t)
+        expected = reference_curvature(t)
+        assert (report.skew_last_pair, report.pair_exchange, report.first_bianchi) == expected
+        assert report.ok == all(expected) == report.symmetrizer_fixed_point
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_acdc_annihilators_match_index_loops(dim):
+    rng = random.Random(50 + dim)
+    samples = _order_samples(rng, 5, dim)
+    assert any(is_acdc(t).ok for t in samples) and not all(is_acdc(t).ok for t in samples)
+    for t in samples:
+        report = is_acdc(t)
+        expected = reference_acdc(t)
+        got = (report.skew_middle_pair, report.pair_exchange,
+               report.first_bianchi, report.second_bianchi)
+        assert got == expected
+        assert report.ok == all(expected) == report.symmetrizer_fixed_point
+
+
+@pytest.mark.parametrize("order,dim", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_symmetry_predicates_match_index_loops(order, dim):
+    rng = random.Random(60 + 10 * order + dim)
+    symmetrizer = GroupRingElement(order, [1] * len(GroupRingElement.zero(order).coeffs))
+    samples = []
+    for _ in range(6):
+        t = random_tensor(rng, order, dim, span=2)
+        samples += [t, apply_operator(symmetrizer, t)]
+    if order == 2:
+        samples += [random_alternating2(rng, dim), random_symmetric2(rng, dim)]
+    else:
+        samples += [random_symmetric3(rng, dim)]
+    for t in samples:
+        assert t.is_fully_symmetric() == reference_fully_symmetric(t)
+        if order == 2:
+            assert t.is_alternating() == reference_alternating(t)
+    assert any(t.is_fully_symmetric() for t in samples)
+    assert not all(t.is_fully_symmetric() for t in samples)
+
+
+def test_diagnostics_failures_and_truth():
+    report = is_algebraic_curvature(random_tensor(random.Random(70), 4, 2))
+    assert not report and report.failures() == [
+        "skew_last_pair", "pair_exchange", "first_bianchi", "symmetrizer_fixed_point"]
+    assert is_acdc(DenseTensor.zero(5, 2)) and is_acdc(DenseTensor.zero(5, 2)).failures() == []
+
+
+@pytest.mark.parametrize("degree,dim", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_projector_rank_is_star_invariant(degree, dim):
+    # rows are the images a.e_k, the columns of the operator matrix, so the
+    # rank must not change under the star involution (M(a*) = M(a)^T)
+    rng = random.Random(80 + 10 * degree + dim)
+    for _ in range(5):
+        sparse = [c if rng.random() < 0.3 else 0 for c in random_element(rng, degree).coeffs]
+        a = GroupRingElement(degree, sparse)
+        assert projector_rank(a, dim) == projector_rank(a.star(), dim)
+
+
+def test_projector_rank_rejects_nonpositive_dim():
+    for dim in (0, -1):
+        with pytest.raises(ValueError):
+            projector_rank(GroupRingElement.identity(2), dim)

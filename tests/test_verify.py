@@ -91,3 +91,30 @@ def test_report_serialization():
     report = CheckReport("demo", True, "fine")
     assert report.to_dict() == {"name": "demo", "passed": True, "details": "fine"}
     assert report.line() == "PASS demo: fine"
+
+
+def test_run_all_only_runs_matching_checks(monkeypatch):
+    import symcurv.verify as verify
+
+    def not_selected():
+        raise AssertionError("a check outside the --only prefix ran")
+
+    for name in ("check_sigma_nonzero", "check_gamma_hat_generators",
+                 "check_mixed_class_generators", "_check_dichotomy_variant"):
+        monkeypatch.setattr(verify, name, not_selected)
+    assert [r.name for r in run_all(only="xi_half")] == ["xi_half_idempotent"]
+    assert [r.name for r in run_all(only="admissible")] == ["admissible_pairs"]
+
+
+def test_check_registry_names_match_reports():
+    from symcurv.verify import CHECKS
+
+    assert list(CHECKS)[:6] == [
+        "xi_half_idempotent", "admissible_pairs", "sigma_nonzero",
+        "dichotomy[order2-first]", "dichotomy[order3-first]", "gamma_hat_generators",
+    ]
+    assert [r.name for r in check_dichotomy()] == list(CHECKS)[3:5]
+    mixed = [name for name in CHECKS if name.startswith("mixed_class_generators[")]
+    assert len(CHECKS) == 30 and len(mixed) == 24
+    assert mixed[0] == check_mixed_class_generators(0, 1, False).name
+    assert mixed[-1] == "mixed_class_generators[eta,UxA]"
