@@ -10,33 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
 from .dft import fourier_eta, fourier_transform, fourier_xi
-from .group_ring import GroupRingElement
+from .group_ring import MAX_DEGREE, GroupRingElement
 from .littlewood_richardson import lr_product
 from .rationals import Rational, format_rational, parse_rational
 from .tableaux import (
     curvature_tableau,
     format_partition,
+    hook_dimension,
     partitions_of,
     standard_tableaux,
     validate_partition,
     young_symmetrizer,
 )
-from .tensor import (
-    DEFAULT_RANK_CAP,
-    DenseTensor,
-    gamma_hat,
-    is_acdc,
-    is_algebraic_curvature,
-    projector_rank,
-)
+from .tensor import DenseTensor, gamma_hat, is_acdc, is_algebraic_curvature, projector_rank
 from .verify import run_all
-
-RANK_CAP_ENV = "SYMCURV_MAX_RANK_DIM"
 
 
 def _rational_arg(text: str) -> Rational:
@@ -73,13 +64,6 @@ def _print_element(element: GroupRingElement, as_json: bool) -> None:
         print(element.to_json())
     else:
         print(element.pretty())
-
-
-def _rank_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(RANK_CAP_ENV)
-    return int(env) if env else DEFAULT_RANK_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--curvature", type=int, metavar="U")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--star", action="store_true", help="apply star before acting")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help=f"override the matrix-size cap (default {DEFAULT_RANK_CAP} "
-                        f"or ${RANK_CAP_ENV})")
 
     p = sub.add_parser("verify-paper", help="run the bundled claim-verification suite")
     p.add_argument("--only", metavar="NAME", help="run checks matching this name prefix")
@@ -149,12 +130,12 @@ def _cmd_symmetrizer(args) -> int:
     if args.curvature is not None:
         tableau = curvature_tableau(args.curvature)
     else:
-        tableaux = standard_tableaux(args.shape)
-        if not 0 <= args.index < len(tableaux):
-            print(f"error: index must be in 0..{len(tableaux) - 1} for shape "
-                  f"{format_partition(args.shape)}", file=sys.stderr)
-            return 2
-        tableau = tableaux[args.index]
+        shape, count = format_partition(args.shape), hook_dimension(args.shape)
+        if sum(args.shape) > MAX_DEGREE:
+            raise ValueError(f"shape {shape} exceeds the degree cap {MAX_DEGREE}")
+        if not 0 <= args.index < count:
+            raise ValueError(f"index must be in 0..{count - 1} for shape {shape}")
+        tableau = standard_tableaux(args.shape)[args.index]
     element = young_symmetrizer(tableau)
     if args.star:
         element = element.star()
@@ -243,7 +224,7 @@ def _cmd_rank(args) -> int:
         element = young_symmetrizer(curvature_tableau(args.curvature))
     if args.star:
         element = element.star()
-    print(projector_rank(element, args.dim, max_dim=_rank_cap(args.max_dim)))
+    print(projector_rank(element, args.dim))
     return 0
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RowBasis
@@ -43,6 +45,13 @@ def _composition_table(degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _inverse_table(degree: int) -> tuple[int, ...]:
     return tuple(perm_rank(p.inverse()) for p in symmetric_group(degree))
+
+
+def _swap(images: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The one-line word with entries i and j exchanged: p * (i+1 j+1)."""
+    out = list(images)
+    out[i], out[j] = images[j], images[i]
+    return tuple(out)
 
 
 class GroupRingElement:
@@ -249,28 +258,40 @@ class GroupRingElement:
             out.append((Permutation(images), c))
         return GroupRingElement.from_terms(degree, out)
 
-    def right_ideal_rank(self) -> int:
-        """Dimension over Q of span{a * p : p in S_r}, by exact elimination."""
-        size = factorial(self.degree)
-        if self.is_zero():
-            return 0
-        basis = RowBasis(size)
-        support = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        if self.degree <= _TABLE_MAX_DEGREE:
-            table = _composition_table(self.degree)
-            for j in range(size):
-                row = [0] * size
-                for i, c in support:
-                    row[table[i][j]] = c
-                basis.add(row)
-        else:
-            perms = symmetric_group(self.degree)
-            for q in perms:
-                row = [0] * size
-                for i, c in support:
-                    row[perm_rank(perms[i] * q)] = c
-                basis.add(row)
+    def permutation_module_rank(self, content: Sequence[int]) -> int:
+        """Rank of a on the span of the words with content[v] copies of letter v.
+
+        p moves letter w[k] to position p(k), as slot permutations move the
+        indices of a basis tensor; each distinct image a.e_w is eliminated once.
+        """
+        if any(c < 0 for c in content) or sum(content) != self.degree:
+            raise ValueError(f"content {list(content)} is not a content of degree {self.degree}")
+        words = sorted(set(permutations([v for v, c in enumerate(content) for _ in range(c)])))
+        index = {w: i for i, w in enumerate(words)}
+        terms = {p.images: c for p, c in self.terms()}
+        # a(i j) = ±a makes the images of w and (i j).w equal up to sign, so of the
+        # words only those sorted on every such pair (i, j) need a row
+        pairs = [(i, j) for i, j in combinations(range(self.degree), 2) for sign in (1, -1)
+                 if all(terms.get(_swap(images, i, j)) == sign * c for images, c in terms.items())]
+        words = [w for w in words if all(w[i] <= w[j] for i, j in pairs)]
+        rows: list[dict[int, Rational]] = [{} for _ in words]
+        for images, c in terms.items():
+            # p.w holds w[k] at position p(k); one index would give itemgetter no tuple
+            source = sorted(range(self.degree), key=images.__getitem__)
+            move = itemgetter(*source) if self.degree > 1 else tuple
+            for row, target in zip(rows, map(index.__getitem__, map(move, words))):
+                row[target] = row.get(target, 0) + c
+        basis = RowBasis(len(index))
+        for entries in dict.fromkeys(frozenset((i, c) for i, c in r.items() if c) for r in rows):
+            dense = [0] * len(index)
+            for i, c in entries:
+                dense[i] = c
+            basis.add(dense)
         return basis.rank
+
+    def right_ideal_rank(self) -> int:
+        """Dimension over Q of span{a * p : p in S_r}, a's rank on the regular module."""
+        return self.permutation_module_rank((1,) * self.degree)
 
     # -- wire form ---------------------------------------------------------
 

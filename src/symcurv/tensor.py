@@ -13,20 +13,26 @@ Public indices are 1-based, matching the rest of the package.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
 from itertools import product as _cartesian
+from math import factorial, perm, prod
 from typing import Iterable, Mapping, Sequence
 
-from .group_ring import GroupRingElement
-from .linalg import RowBasis
+from .group_ring import MAX_DEGREE, GroupRingElement
+from .linalg import rank_of_rows
 from .permutation import Permutation, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
-from .tableaux import curvature_tableau, young_symmetrizer
+from .tableaux import curvature_tableau, partitions_of, young_symmetrizer
 
-DEFAULT_RANK_CAP = 4096
+# Widest weight space, in words, that projector_rank will eliminate.
+RANK_BLOCK_CAP = 4096
+
+# Dense coordinate count a tensor read from JSON may ask for.
+MAX_WIRE_COORDS = 1 << 20
 
 FrameTuple = tuple[tuple[Rational, ...], ...]
 
@@ -173,6 +179,10 @@ class DenseTensor:
         data = wire_json(data, dict, "tensor")
         order = wire_scalar(data["order"], "order", integer=True)
         dim = wire_scalar(data["dim"], "dim", integer=True)
+        if not 1 <= order <= MAX_DEGREE:
+            raise ValueError(f"order must be in 1..{MAX_DEGREE}, got {order}")
+        if dim < 1 or dim ** order > MAX_WIRE_COORDS:
+            raise ValueError(f"need dim >= 1 and dim**{order} <= {MAX_WIRE_COORDS}, got dim {dim}")
         entries = {}
         for item in wire_json(data.get("coords", []), list, "coords"):
             item = wire_json(item, dict, "coordinate")
@@ -212,7 +222,7 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
     """Scatter table of the slot permutation p: lookup[flat(J)] = flat(I).
 
     I is the index with I[p(k)] = J[k] for every slot k, so that
-    (pT)[I] = T[J]; lookup[k] is also where p sends the basis tensor e_k.
+    (pT)[I] = T[J].
     """
     flats = [0]  # J runs in coordinate order; slot k of J lands in slot p(k) of I
     for image in images:
@@ -453,47 +463,34 @@ def is_acdc(t: DenseTensor) -> DerivativeCurvatureDiagnostics:
 # -- rank computations --------------------------------------------------------
 
 
-def projector_rank(a: GroupRingElement, dim: int,
-                   max_dim: int = DEFAULT_RANK_CAP) -> int:
+def projector_rank(a: GroupRingElement, dim: int) -> int:
     """Rank of T -> aT on order-r tensors over a dim-dimensional space.
 
-    Eliminates the images a.e_k of the coordinate basis exactly. They are
-    the columns of the operator matrix, so their rank is its rank.
-    Refuses when dim**degree exceeds max_dim.
+    Slot permutations keep the multiset of a basis tensor's indices, so
+    tensor space splits into weight spaces; N(λ, dim) of them are copies
+    of the permutation module M^λ, for each λ ⊢ r with at most dim parts.
+    Refuses before enumerating when the widest one (r!/Πλ_i! words)
+    exceeds RANK_BLOCK_CAP.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    size = dim ** a.degree
-    if size > max_dim:
-        raise ValueError(
-            f"operator matrix would be {size}x{size}; cap is {max_dim} "
-            "(raise max_dim explicitly to override)"
-        )
-    support = [(p, c) for p, c in a.terms()]
-    if not support:
-        return 0
-    lookups = [(_slot_lookup(p.images, a.degree, dim), c) for p, c in support]
-    basis = RowBasis(size)
-    for k in range(size):
-        row = [0] * size
-        for lookup, c in lookups:
-            row[lookup[k]] += c
-        basis.add(row)
-    return basis.rank
+    shapes = [shape for shape in partitions_of(a.degree) if len(shape) <= dim]
+    widest = max(factorial(a.degree) // prod(map(factorial, shape)) for shape in shapes)
+    if widest > RANK_BLOCK_CAP:
+        raise ValueError(f"widest weight space has {widest} words; rank cap is {RANK_BLOCK_CAP}")
+    return sum(
+        perm(dim, len(shape)) // prod(map(factorial, Counter(shape).values()))
+        * a.permutation_module_rank(shape)
+        for shape in shapes
+    )
 
 
 def generator_span_rank(family: Iterable[DenseTensor]) -> int:
     """Rank of a family of equal-shape tensors as coordinate vectors."""
-    basis: RowBasis | None = None
-    shape: tuple[int, int] | None = None
-    for t in family:
-        if shape is None:
-            shape = (t.order, t.dim)
-            basis = RowBasis(len(t.coords))
-        elif (t.order, t.dim) != shape:
-            raise ValueError("family members must share order and dimension")
-        basis.add(t.coords)
-    return 0 if basis is None else basis.rank
+    family = list(family)
+    if len({(t.order, t.dim) for t in family}) > 1:
+        raise ValueError("family members must share order and dimension")
+    return rank_of_rows(t.coords for t in family)
 
 
 # -- deterministic basis families --------------------------------------------

@@ -6,7 +6,14 @@ from fractions import Fraction
 from itertools import permutations as _words
 from math import factorial
 
-from symcurv import DenseTensor, GroupRingElement
+from symcurv import (
+    DenseTensor,
+    GroupRingElement,
+    partitions_of,
+    standard_tableaux,
+    symmetric_group,
+    young_symmetrizer,
+)
 
 
 def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
@@ -15,6 +22,17 @@ def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
         [Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3]))
          for _ in range(factorial(degree))],
     )
+
+
+def rank_test_elements(rng, degree: int, full_rank_too: bool = True) -> list[GroupRingElement]:
+    """Three-term elements and their products with Young symmetrizers, of varied rank."""
+    out = []
+    for _ in range(4):
+        sparse = GroupRingElement.from_terms(
+            degree, [(rng.choice(symmetric_group(degree)), rng.randint(-2, 2)) for _ in range(3)])
+        y = young_symmetrizer(rng.choice(standard_tableaux(rng.choice(partitions_of(degree)))))
+        out += ([sparse] if full_rank_too else []) + [sparse * y, y * sparse + y]
+    return out
 
 
 def random_tensor(rng, order: int, dim: int, span: int = 3) -> DenseTensor:

@@ -166,20 +166,22 @@ def test_rank_subcommand(capsys):
     code, out, _ = run_cli(capsys, "rank", "--xi-nu", "1/2", "--dim", "2")
     assert code == 0
     assert out.strip() == str(weyl_dimension((2, 1), 2)) == "2"
-
-
-def test_rank_cap_and_env_override(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "rank", "--curvature", "1", "--dim", "3",
-                           "--max-dim", "100")
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("SYMCURV_MAX_RANK_DIM", "100")
-    code, _, err = run_cli(capsys, "rank", "--curvature", "1", "--star", "--dim", "3")
-    assert code == 2
-    monkeypatch.setenv("SYMCURV_MAX_RANK_DIM", "300")
-    code, out, _ = run_cli(capsys, "rank", "--curvature", "1", "--star", "--dim", "3")
+    # the work stops growing with dim once dim reaches the degree
+    code, out, _ = run_cli(capsys, "rank", "--curvature", "1", "--star", "--dim", "1000000")
     assert code == 0
-    assert out.strip() == "15"
+    assert out.strip() == str(weyl_dimension((3, 2), 1000000))
+
+
+def test_rank_cap_is_fixed(capsys):
+    # degree 7 at dim 7 has a weight space of 7! = 5040 words, over the cap
+    code, out, err = run_cli(capsys, "rank", "--curvature", "3", "--dim", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rank cap is 4096" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rank", "--curvature", "1", "--dim", "3", "--max-dim", "100000"])
+    assert excinfo.value.code == 2
 
 
 def test_verify_full_suite_exits_clean(capsys):
@@ -224,6 +226,29 @@ def test_rank_rejects_nonpositive_dim(capsys, dim):
 @pytest.mark.parametrize("argv", [["--curvature", "20"], ["--shape", "12"]])
 def test_symmetrizer_beyond_degree_cap_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "symmetrizer", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--shape", "6,6,6"], ["--shape", "2,1", "--index", "2"]])
+def test_symmetrizer_refuses_before_enumerating_tableaux(capsys, monkeypatch, argv):
+    def enumerate_nothing(shape):
+        raise AssertionError("standard_tableaux called")
+
+    monkeypatch.setattr("symcurv.cli.standard_tableaux", enumerate_nothing)
+    code, out, err = run_cli(capsys, "symmetrizer", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order,dim", [(40, 10), (-1, 2), (9, 9), (8, 10), (2, 0)])
+def test_check_tensor_refuses_out_of_range_size(capsys, monkeypatch, order, dim):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": order, "dim": dim})))
+    code, out, err = run_cli(capsys, "check-tensor", "-")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

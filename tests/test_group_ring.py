@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element
+from conftest import random_element, rank_test_elements
 from symcurv import (
     GroupRingElement,
     Permutation,
@@ -16,6 +17,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
+from symcurv.linalg import rank_of_rows
 
 
 def basis(images):
@@ -146,12 +148,47 @@ def test_right_ideal_rank_examples():
     assert young_symmetrizer(curvature_tableau(1)).right_ideal_rank() == 5
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_right_ideal_rank_matches_hook_dimension(r):
     for shape in partitions_of(r):
         d = hook_dimension(shape)
         for t in standard_tableaux(shape):
             assert young_symmetrizer(t).right_ideal_rank() == d
+
+
+def dense_right_ideal_rank(a):
+    """dim span{a * p : p in S_r} by eliminating all r! products."""
+    return rank_of_rows([(a * GroupRingElement.from_permutation(p)).coeffs
+                         for p in symmetric_group(a.degree)])
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_right_ideal_rank_matches_dense_elimination(degree):
+    rng = random.Random(30 + degree)
+    elements = rank_test_elements(rng, degree)
+    if degree < 5:  # a dense element has full rank, slow to eliminate at r = 5
+        elements += [random_element(rng, degree) for _ in range(3)]
+    ranks = [a.right_ideal_rank() for a in elements]
+    assert ranks == [dense_right_ideal_rank(a) for a in elements]
+    assert len(set(ranks)) > 2
+
+
+def test_permutation_module_rank_examples():
+    one = GroupRingElement.identity(4)
+    total = stabilizer_symmetrizer(4, set())
+    signed = stabilizer_symmetrizer(4, set(), signed=True)
+    for content in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
+        words = factorial(4) // prod(map(factorial, content))
+        assert one.permutation_module_rank(content) == words
+        assert total.permutation_module_rank(content) == 1
+        assert signed.permutation_module_rank(content) == (content == (1, 1, 1, 1))
+    # zero counts and letter order do not change the module
+    y = young_symmetrizer(standard_tableaux((2, 2))[1])
+    assert y.permutation_module_rank((0, 1, 2, 0, 1)) == y.permutation_module_rank((2, 1, 1))
+    assert GroupRingElement.identity(1).permutation_module_rank((1,)) == 1
+    for content in [(2, 1), (1, 1, 1, 1, 1), (4, -1, 1)]:
+        with pytest.raises(ValueError):
+            one.permutation_module_rank(content)
 
 
 def test_scalar_multiplication_and_negation():

@@ -11,6 +11,7 @@ from conftest import (
     random_symmetric2,
     random_symmetric3,
     random_tensor,
+    rank_test_elements,
 )
 from symcurv import (
     DenseTensor,
@@ -32,6 +33,7 @@ from symcurv import (
     tensor_product,
     weyl_dimension,
 )
+from symcurv.linalg import RowBasis
 from symcurv.tensor import curvature_symmetrizer_star, frame
 
 
@@ -371,9 +373,11 @@ def test_projector_rank_order4_class_at_n2():
     assert projector_rank(ystar, 2) == weyl_dimension((2, 2), 2) == 1
 
 
-def test_projector_rank_cap():
-    with pytest.raises(ValueError):
-        projector_rank(GroupRingElement.identity(5), 3, max_dim=100)
+def test_projector_rank_refuses_widest_weight_space_over_cap():
+    # at dim >= 7 the weight space of seven distinct letters has 7! = 5040 words
+    with pytest.raises(ValueError, match="rank cap is 4096"):
+        projector_rank(GroupRingElement.zero(7), 7)
+    assert projector_rank(GroupRingElement.zero(8), 4) == 0  # widest: 8!/2^4 = 2520
 
 
 def test_generator_span_rank_empty():
@@ -535,3 +539,32 @@ def test_projector_rank_rejects_nonpositive_dim():
     for dim in (0, -1):
         with pytest.raises(ValueError):
             projector_rank(GroupRingElement.identity(2), dim)
+
+
+# -- dense oracle for the weight-space route -----------------------------------
+
+
+def dense_projector_rank(a, dim):
+    """Rank of T -> aT by eliminating all dim**r images a.e_k."""
+    basis = RowBasis(dim ** a.degree)
+    for idx in itertools.product(range(1, dim + 1), repeat=a.degree):
+        basis.add(apply_operator(a, DenseTensor.basis(a.degree, dim, idx)).coords)
+    return basis.rank
+
+
+@pytest.mark.parametrize("degree,dim", [(2, 2), (2, 6), (3, 3), (3, 4), (4, 2), (4, 3),
+                                        (5, 2), (5, 3), (5, 4)])
+def test_projector_rank_matches_dense_elimination(degree, dim):
+    # full-rank elements only where the oracle's dim**r rows stay cheap
+    elements = rank_test_elements(random.Random(100 * degree + dim), degree, dim ** degree <= 243)
+    ranks = [projector_rank(a, dim) for a in elements]
+    assert ranks == [dense_projector_rank(a, dim) for a in elements]
+    assert len(set(ranks)) > 1
+
+
+@pytest.mark.parametrize("u", [0, 1, 2, 3])
+def test_projector_rank_of_curvature_class_is_weyl_dimension(u):
+    # every dim up to 6 fits the cap; u = 2, n = 4 (126) was refused by the dense route
+    ystar = curvature_symmetrizer_star(u)
+    for dim in range(1, 7):
+        assert projector_rank(ystar, dim) == weyl_dimension((u + 2, 2), dim)
