@@ -1,9 +1,12 @@
 """The exact-rational group ring Q[S_r].
 
 Elements are dense coefficient vectors indexed by the canonical
-(lexicographic) enumeration of S_r, so the convolution product is a
-double loop over supports through a cached index-composition table.
-Everything is an exact rational; floats never enter.
+(lexicographic) enumeration of S_r. A product a*b first splits off the
+group sum of b's right stabilizer among the Young subgroups, then
+convolves a with what is left and multiplies by that group sum as a
+chain of Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974;
+G. Murphy, J. Algebra 69, 1981). Everything is an exact rational;
+floats never enter.
 
 Elements are immutable and all caches are write-once, so values can be
 shared freely across threads.
@@ -14,32 +17,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RowBasis
-from .permutation import Permutation, perm_rank, symmetric_group
+from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
 MAX_DEGREE = 8
-
-# Full composition tables are only materialized while they stay small.
-_TABLE_MAX_DEGREE = 6
-
-
-@lru_cache(maxsize=None)
-def _composition_table(degree: int) -> tuple[tuple[int, ...], ...]:
-    """table[i][j] = index of p_i * p_j in the canonical enumeration."""
-    perms = symmetric_group(degree)
-    index = {p.images: k for k, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        mine = p.images
-        table.append(tuple(index[tuple(mine[j - 1] for j in q.images)] for q in perms))
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -47,11 +35,83 @@ def _inverse_table(degree: int) -> tuple[int, ...]:
     return tuple(perm_rank(p.inverse()) for p in symmetric_group(degree))
 
 
+@lru_cache(maxsize=None)
+def _swap_table(degree: int, i: int, j: int) -> tuple[int, ...]:
+    """table[k] = index of p_k * (i+1 j+1), p_k's word with positions i and j swapped.
+
+    One table per transposition of each degree, so the degree cap bounds the cache.
+    """
+    order = list(range(degree))
+    order[i], order[j] = j, i
+    rank = _rank_table(degree)
+    return tuple(map(rank.__getitem__, map(itemgetter(*order), rank)))
+
+
 def _swap(images: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     """The one-line word with entries i and j exchanged: p * (i+1 j+1)."""
     out = list(images)
     out[i], out[j] = images[j], images[i]
     return tuple(out)
+
+
+def _positions(indices: Sequence[int]):
+    """The map taking a word w to the tuple of its entries at the given positions."""
+    return itemgetter(*indices) if len(indices) > 1 else tuple
+
+
+def _swap_sign(terms: Mapping[tuple[int, ...], Rational], i: int, j: int) -> int:
+    """s in {1, -1} with b * (i+1 j+1) = s*b, or 0 when there is none."""
+    for sign in (1, -1):
+        if all(terms.get(_swap(images, i, j)) == sign * c for images, c in terms.items()):
+            return sign
+    return 0
+
+
+def _stabilizer_blocks(terms: Mapping[tuple[int, ...], Rational]) -> list[tuple[list[int], int]]:
+    """Blocks B of 0-based positions and signs s with b*h = s*b for each transposition h of S_B.
+
+    terms maps the words of b to their nonzero coefficients; b = 0 has no
+    blocks. For b != 0 the transpositions h with b*h = ±b generate a Young
+    subgroup on which b transforms by a character: (i k) = (i j)(j k)(i j)
+    joins the pairs into cliques, one per block, and conjugate
+    transpositions carry one sign. So a position joins at most one block,
+    found by testing it against each block's first position.
+    """
+    blocks: list[tuple[list[int], int]] = []
+    for j in range(len(next(iter(terms), ()))):
+        for n, (block, _) in enumerate(blocks):
+            sign = _swap_sign(terms, block[0], j)
+            if sign:
+                blocks[n] = (block + [j], sign)
+                break
+        else:
+            blocks.append(([j], 0))
+    return [(block, sign) for block, sign in blocks if len(block) > 1]
+
+
+def _sorted_on(word: tuple[int, ...], blocks: list[tuple[list[int], int]]) -> bool:
+    """Whether the word is weakly increasing along every block."""
+    return all(word[i] <= word[j] for block, _ in blocks for i, j in zip(block, block[1:]))
+
+
+def _times_block_sum(coeffs: list[Rational], degree: int, block: Sequence[int],
+                     sign: int) -> list[Rational]:
+    """coeffs * Σ_{g in S_block} χ(g)·g as the chain Π_j (1 + sign·L_j).
+
+    χ is the sign character when sign = -1 and trivial when sign = 1.
+    L_j = Σ_{i<j in block} (i j) is the Jucys-Murphy element; block holds
+    0-based positions. Right multiplication by a transposition swaps two
+    positions of every word, one scatter through its index table.
+    """
+    for n, j in enumerate(block[1:], start=1):
+        support = [(k, c if sign > 0 else -c) for k, c in enumerate(coeffs) if c]
+        out = list(coeffs)
+        for i in block[:n]:
+            table = _swap_table(degree, i, j)
+            for k, c in support:
+                out[table[k]] += c
+        coeffs = out
+    return coeffs
 
 
 class GroupRingElement:
@@ -131,30 +191,44 @@ class GroupRingElement:
         return NotImplemented
 
     def __mul__(self, other) -> "GroupRingElement":
-        """Convolution: (a*b)(s) = sum over p*q = s of a(p) b(q)."""
+        """Convolution: (a*b)(s) = sum over p*q = s of a(p) b(q).
+
+        With blocks B and signs χ from b's right stabilizer, b = b0 * Π_B
+        Σ_{S_B} χ(g)·g, where b0 keeps the terms whose word increases on
+        every block; a*b is the convolution a*b0 times those group sums.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_degree(other)
-        size = factorial(self.degree)
-        out = [0] * size
-        mine = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        theirs = [(j, c) for j, c in enumerate(other.coeffs) if c]
-        if self.degree <= _TABLE_MAX_DEGREE:
-            table = _composition_table(self.degree)
-            for i, ci in mine:
-                row = table[i]
-                for j, cj in theirs:
-                    out[row[j]] += ci * cj
-        else:
-            perms = symmetric_group(self.degree)
-            rank = perm_rank
-            for i, ci in mine:
-                p = perms[i]
-                for j, cj in theirs:
-                    out[rank(p * perms[j])] += ci * cj
+        theirs = {q.images: c for q, c in other.terms()}
+        blocks = _stabilizer_blocks(theirs)
+        mine = [(p.images, c) for p, c in self.terms()]
+        rank = _rank_table(self.degree)
+        out: list[Rational] = [0] * len(rank)
+        for q, cq in theirs.items():
+            if _sorted_on(q, blocks):
+                compose = _positions([v - 1 for v in q])  # p -> p*q
+                for p, cp in mine:
+                    out[rank[compose(p)]] += cp * cq
+        for block, sign in blocks:
+            out = _times_block_sum(out, self.degree, block, sign)
         return GroupRingElement(self.degree, out)
+
+    def times_group_sum(self, block: Iterable[int], signed: bool = False) -> "GroupRingElement":
+        """a * Σ g over the permutations g moving only the listed positions.
+
+        With signed=True each g carries its sign. The sum is the chain
+        Π_j (1 ± L_j) of Jucys-Murphy elements over the block, so it costs
+        binom(|block|, 2) passes over the support, not |block|! products.
+        """
+        block = [int(v) for v in block]
+        if any(not 1 <= v <= self.degree for v in block) or len(set(block)) != len(block):
+            raise ValueError(f"block must list distinct positions in 1..{self.degree}: {block}")
+        coeffs = _times_block_sum(list(self.coeffs), self.degree, sorted(v - 1 for v in block),
+                                  -1 if signed else 1)
+        return GroupRingElement(self.degree, coeffs)
 
     def star(self) -> "GroupRingElement":
         """The involution sending each permutation to its inverse."""
@@ -270,15 +344,14 @@ class GroupRingElement:
         index = {w: i for i, w in enumerate(words)}
         terms = {p.images: c for p, c in self.terms()}
         # a(i j) = ±a makes the images of w and (i j).w equal up to sign, so of the
-        # words only those sorted on every such pair (i, j) need a row
-        pairs = [(i, j) for i, j in combinations(range(self.degree), 2) for sign in (1, -1)
-                 if all(terms.get(_swap(images, i, j)) == sign * c for images, c in terms.items())]
-        words = [w for w in words if all(w[i] <= w[j] for i, j in pairs)]
+        # words only those sorted on every stabilizer block need a row
+        blocks = _stabilizer_blocks(terms)
+        words = [w for w in words if _sorted_on(w, blocks)]
         rows: list[dict[int, Rational]] = [{} for _ in words]
         for images, c in terms.items():
-            # p.w holds w[k] at position p(k); one index would give itemgetter no tuple
+            # p.w holds w[k] at position p(k)
             source = sorted(range(self.degree), key=images.__getitem__)
-            move = itemgetter(*source) if self.degree > 1 else tuple
+            move = _positions(source)
             for row, target in zip(rows, map(index.__getitem__, map(move, words))):
                 row[target] = row.get(target, 0) + c
         basis = RowBasis(len(index))
@@ -337,8 +410,5 @@ def stabilizer_symmetrizer(degree: int, fixed: Iterable[int],
     fixed = set(fixed)
     if any(not 1 <= i <= degree for i in fixed):
         raise ValueError(f"fixed positions must lie in 1..{degree}")
-    coeffs = [0] * factorial(degree)
-    for i, p in enumerate(symmetric_group(degree)):
-        if all(p(j) == j for j in fixed):
-            coeffs[i] = p.sign() if signed else 1
-    return GroupRingElement(degree, coeffs)
+    free = [i for i in range(1, degree + 1) if i not in fixed]
+    return GroupRingElement.identity(degree).times_group_sum(free, signed)

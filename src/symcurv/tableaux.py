@@ -216,17 +216,18 @@ def young_symmetrizer(t: YoungTableau) -> GroupRingElement:
     """Signed double sum over the row and column groups of the tableau.
 
     Row permutations enter with coefficient 1, column permutations with
-    their sign, composed row-then-column. Tableaux beyond the group-ring
-    degree cap are refused before the groups are enumerated.
+    their sign, composed row-then-column: the identity times the group sum
+    of each row, then times the signed group sum of each column. Tableaux
+    beyond the group-ring degree cap are refused before anything is built.
     """
     if t.size > MAX_DEGREE:
         raise ValueError(f"tableau on {t.size} letters exceeds the degree cap {MAX_DEGREE}")
-    signed_columns = [(q, q.sign()) for q in t.vertical_group()]
-    terms = []
-    for p in t.horizontal_group():
-        for q, sign in signed_columns:
-            terms.append((p * q, sign))
-    return GroupRingElement.from_terms(t.size, terms)
+    y = GroupRingElement.identity(t.size)
+    for row in t.rows:
+        y = y.times_group_sum(row)
+    for column in t.columns():
+        y = y.times_group_sum(column, signed=True)
+    return y
 
 
 def curvature_tableau(u: int) -> YoungTableau:

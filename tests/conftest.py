@@ -24,6 +24,15 @@ def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
     )
 
 
+def scanned_stabilizer_symmetrizer(degree: int, fixed, signed: bool = False) -> GroupRingElement:
+    """Every permutation of S_degree fixing the listed positions, found by a scan."""
+    coeffs = [0] * factorial(degree)
+    for i, p in enumerate(symmetric_group(degree)):
+        if all(p(j) == j for j in fixed):
+            coeffs[i] = p.sign() if signed else 1
+    return GroupRingElement(degree, coeffs)
+
+
 def rank_test_elements(rng, degree: int, full_rank_too: bool = True) -> list[GroupRingElement]:
     """Three-term elements and their products with Young symmetrizers, of varied rank."""
     out = []

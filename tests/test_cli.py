@@ -83,6 +83,33 @@ def test_symmetrizer_curvature_star_json(capsys):
     assert element.is_essentially_idempotent() == 24
 
 
+# symmetrizer --curvature 1 --star --json, one signed word per term, in output order
+CURVATURE_1_STAR = """
+    +12345 -12435 -12534 +12543 -13425 -13524 +14325 +14523
+    -21345 +21435 +21534 -21543 +23415 +23514 -24315 -24513
+    -31245 -31542 +32145 +32541 +34125 -34215 -34512 +34521
+    +41235 +41532 -42135 -42531 -43125 +43215 +43512 -43521
+    +51234 -51243 -51342 +51432 -52134 +52143 +52341 -52431
+    -53124 +53214 +53412 -53421 +54123 -54213 -54312 +54321
+"""
+
+
+def test_symmetrizer_curvature_star_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", "1", "--star", "--json")
+    assert code == 0
+    terms = [{"perm": [int(v) for v in word[1:]], "coeff": "1" if word[0] == "+" else "-1"}
+             for word in CURVATURE_1_STAR.split()]
+    assert out == json.dumps({"degree": 5, "terms": terms}) + "\n"
+
+
+def test_symmetrizer_degree_8_curvature_star(capsys):
+    code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", "4", "--star", "--json")
+    assert code == 0
+    element = GroupRingElement.from_json(out)
+    assert element.degree == 8
+    assert element.support_size() == 5760
+
+
 def test_fourier_of_element_file(tmp_path, capsys):
     rng = random.Random(20)
     element = random_element(rng, 3)

@@ -5,10 +5,11 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, rank_test_elements
+from conftest import random_element, rank_test_elements, scanned_stabilizer_symmetrizer
 from symcurv import (
     GroupRingElement,
     Permutation,
+    curvature_tableau,
     hook_dimension,
     partitions_of,
     stabilizer_symmetrizer,
@@ -17,6 +18,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
+from symcurv.group_ring import _stabilizer_blocks
 from symcurv.linalg import rank_of_rows
 
 
@@ -213,3 +215,119 @@ def test_terms_in_enumeration_order():
 def test_degree_cap():
     with pytest.raises(ValueError):
         GroupRingElement.zero(9)
+
+
+# -- the factored product against the direct convolution ------------------------
+
+
+def direct_product(a, b):
+    """a * b as the double loop over the terms of both factors."""
+    return GroupRingElement.from_terms(
+        a.degree, [(p * q, cp * cq) for p, cp in a.terms() for q, cq in b.terms()])
+
+
+def sparse_element(rng, degree, support):
+    return GroupRingElement.from_terms(
+        degree, [(rng.choice(symmetric_group(degree)),
+                  Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+                 for _ in range(support)])
+
+
+def group_sum(degree, block, signed=False):
+    """Σ g (signed: Σ sgn(g) g) over the permutations moving only the block, by a scan."""
+    return scanned_stabilizer_symmetrizer(degree, set(range(1, degree + 1)) - set(block), signed)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_product_matches_direct_on_random_pairs(degree):
+    rng = random.Random(60 + degree)
+    for _ in range(10):
+        if degree <= 4:
+            a, b = random_element(rng, degree, span=2), random_element(rng, degree, span=2)
+        else:
+            a, b = sparse_element(rng, degree, 12), sparse_element(rng, degree, 12)
+        assert a * b == direct_product(a, b)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_product_matches_direct_on_stabilizer_right_factors(degree):
+    rng = random.Random(70 + degree)
+    right = [stabilizer_symmetrizer(degree, {1}, signed=signed) for signed in (False, True)]
+    right += [stabilizer_symmetrizer(degree, set(), signed=signed) for signed in (False, True)]
+    # several blocks, with both signs
+    right.append(direct_product(group_sum(degree, {1, 2}),
+                                group_sum(degree, set(range(3, degree + 1)), signed=True)))
+    right.append(direct_product(group_sum(degree, {1, 3}, signed=True),
+                                group_sum(degree, {2, degree}, signed=True)))
+    # a stabilizer times a sparse element on the left leaves a b0 of several terms
+    right += [direct_product(sparse_element(rng, degree, 3), b) for b in right[:3]]
+    for b in right:
+        for a in (random_element(rng, degree, span=2), sparse_element(rng, degree, 4)):
+            assert a * b == direct_product(a, b)
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, 4, 5])
+def test_product_matches_direct_on_young_symmetrizers(weight):
+    rng = random.Random(80 + weight)
+    for shape in partitions_of(weight):
+        for t in standard_tableaux(shape):
+            y = young_symmetrizer(t)
+            for left, right in [(y, y), (y.star(), y.star()), (y.star(), y), (y, y.star())]:
+                assert left * right == direct_product(left, right)
+            a = sparse_element(rng, weight, 5)
+            assert a * y.star() == direct_product(a, y.star())
+
+
+def test_product_matches_direct_at_degree_7():
+    rng = random.Random(7)
+    for _ in range(3):
+        a, b = sparse_element(rng, 7, 30), sparse_element(rng, 7, 30)
+        assert a * b == direct_product(a, b)
+    y = young_symmetrizer(curvature_tableau(3)).star()
+    s = sparse_element(rng, 7, 4)
+    assert y * s == direct_product(y, s)
+    assert s * y == direct_product(s, y)
+    # the dense y*y* is checked through its constant 7!/f^(5 2) = 360
+    assert y.is_essentially_idempotent() == 360
+
+
+def test_stabilizer_blocks_of_curvature_symmetrizers():
+    y = young_symmetrizer(curvature_tableau(1))
+    # y = R C is stable under its columns with sign -1, y* = C R under its rows
+    assert _stabilizer_blocks({p.images: c for p, c in y.terms()}) == [([0, 1], -1), ([2, 3], -1)]
+    assert (_stabilizer_blocks({p.images: c for p, c in y.star().terms()})
+            == [([0, 2, 4], 1), ([1, 3], 1)])
+    assert _stabilizer_blocks({}) == []
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_times_group_sum_of_identity_is_full_symmetrizer(r):
+    one = GroupRingElement.identity(r)
+    assert one.times_group_sum(range(1, r + 1)) == GroupRingElement.from_terms(
+        r, [(p, 1) for p in symmetric_group(r)])
+    assert one.times_group_sum(range(1, r + 1), signed=True) == GroupRingElement.from_terms(
+        r, [(p, p.sign()) for p in symmetric_group(r)])
+
+
+def test_times_group_sum_matches_product_with_group_sum():
+    rng = random.Random(11)
+    for block in [{2}, {1, 4}, {2, 3, 5}, {1, 2, 4, 5}, set()]:
+        for signed in (False, True):
+            a = sparse_element(rng, 5, 6)
+            expected = direct_product(a, group_sum(5, block, signed))
+            assert a.times_group_sum(block, signed) == expected
+            assert a.times_group_sum(sorted(block, reverse=True), signed) == expected
+
+
+def test_times_group_sum_rejects_bad_blocks():
+    a = GroupRingElement.identity(4)
+    for block in [(0, 1), (1, 5), (2, 2)]:
+        with pytest.raises(ValueError):
+            a.times_group_sum(block)
+
+
+def test_degree_8_curvature_symmetrizer_is_essentially_idempotent():
+    # the u = 4 class, out of reach of the direct convolution: 8!/f^(6 2) = 2016
+    y = young_symmetrizer(curvature_tableau(4)).star()
+    assert y.support_size() == 6 * 5 * 4 * 3 * 2 * 2 * 4
+    assert y.is_essentially_idempotent() == 2016

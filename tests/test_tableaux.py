@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
+from conftest import scanned_stabilizer_symmetrizer
 from symcurv import (
     GroupRingElement,
     YoungTableau,
     curvature_tableau,
     hook_dimension,
     partitions_of,
+    stabilizer_symmetrizer,
     standard_tableaux,
     weyl_dimension,
     young_symmetrizer,
@@ -164,3 +167,32 @@ def test_young_symmetrizer_checks_degree_before_enumerating(monkeypatch):
         young_symmetrizer(curvature_tableau(20))
     with pytest.raises(ValueError, match="degree cap"):
         young_symmetrizer(YoungTableau([range(1, 10)]))
+
+
+def double_sum_symmetrizer(t):
+    """Σ over row permutations p and column permutations q of sgn(q) p*q."""
+    columns = [(q, q.sign()) for q in t.vertical_group()]
+    return GroupRingElement.from_terms(t.size, [(p * q, sign) for p in t.horizontal_group()
+                                                for q, sign in columns])
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, 4, 5, 6])
+def test_young_symmetrizer_matches_double_sum(weight):
+    for shape in partitions_of(weight):
+        for t in standard_tableaux(shape):
+            assert young_symmetrizer(t) == double_sum_symmetrizer(t)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2, 3])
+def test_curvature_symmetrizer_matches_double_sum(u):
+    t = curvature_tableau(u)
+    assert young_symmetrizer(t) == double_sum_symmetrizer(t)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_stabilizer_symmetrizer_matches_group_scan(degree):
+    positions = range(1, degree + 1)
+    for fixed in [set(c) for k in range(degree + 1) for c in combinations(positions, k)]:
+        for signed in (False, True):
+            assert (stabilizer_symmetrizer(degree, fixed, signed)
+                    == scanned_stabilizer_symmetrizer(degree, fixed, signed))
