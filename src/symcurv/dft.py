@@ -10,89 +10,194 @@ Under this convention the inverse transform carries the rank-one
 idempotents of the (2 1) block of Q[S_3] to the xi/eta families with
 their expected coefficients; tests pin those coefficients, so the
 convention must not drift.
+
+How D(p) is computed: per shape, the r-1 integer matrices D(s_i) of the
+Coxeter generators s_i = (i i+1) are built once. Column t of the
+polytabloid matrix of s_i is -e_t when i and i+1 share a column of t,
+and e_{s_i t} when they share neither a row nor a column (s_i t is then
+standard). When they share a row, the polytabloid of s_i t is restricted
+to the standard tabloids and solved by integer substitution against the
+standard polytabloids, whose matrix there is lower unitriangular in
+last-letter order (B. Sagan, The Symmetric Group, 2nd ed., sections
+2.5-2.6). Every other matrix follows a descent chain: if p(i) > p(i+1),
+D(p) = D(p s_i) D(s_i). All arithmetic is on ints; the convention above
+is unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
-from typing import Mapping, Sequence
+from math import factorial, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
-from .group_ring import GroupRingElement
+from .group_ring import MAX_DEGREE, GroupRingElement, _inverse_table
 from .linalg import Matrix
-from .permutation import Permutation, symmetric_group
+from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
 from .tableaux import (
     Partition,
-    YoungTableau,
+    format_partition,
     hook_dimension,
     partitions_of,
     standard_tableaux,
     validate_partition,
 )
 
-Tabloid = tuple[tuple[int, ...], ...]
+Word = tuple[int, ...]
+# A generator's columns: column a lists the (row, entry) pairs of its nonzeros.
+Generator = tuple[tuple[tuple[int, int], ...], ...]
+# A representation matrix as the tuple of its integer columns.
+Columns = tuple[tuple[int, ...], ...]
+# Child words by parent word, each child with the 0-based generator index taking the parent to it.
+Tree = dict[Word, list[tuple[int, Word]]]
 
 
-def _tabloid_of(t: YoungTableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in t.rows)
+def _checked_shape(parts: Sequence[int]) -> Partition:
+    parts = validate_partition(parts)
+    if sum(parts) > MAX_DEGREE:
+        raise ValueError(
+            f"shape {format_partition(parts)} of weight {sum(parts)} exceeds the degree cap {MAX_DEGREE}")
+    return parts
+
+
+def _coefficient(row_of: Sequence[int], columns: Sequence[Sequence[int]]) -> int:
+    """Coefficient of the tabloid with rows row_of[v] in the polytabloid of a tableau.
+
+    Only one column permutation can carry the tableau onto the tabloid: each
+    column's entries must land on distinct rows 0..k-1, and the sign is the
+    product over columns of the sign of that row sequence.
+    """
+    sign = 1
+    for column in columns:
+        rows = [row_of[v] for v in column]
+        if len(set(rows)) != len(rows) or max(rows) >= len(rows):
+            return 0
+        for j in range(len(rows)):
+            for k in range(j + 1, len(rows)):
+                if rows[j] > rows[k]:
+                    sign = -sign
+    return sign
+
+
+def _unitriangular_solver(a: list[list[int]]) -> Callable[[list[int]], list[int]]:
+    """Solve a x = v by forward substitution in ints; a must be lower unitriangular."""
+    if any(row[k] != 1 or any(row[k + 1:]) for k, row in enumerate(a)):
+        raise ArithmeticError("standard polytabloids are not unitriangular on the standard tabloids")
+    below = [[(j, c) for j, c in enumerate(row[:k]) if c] for k, row in enumerate(a)]
+
+    def solve(v: list[int]) -> list[int]:
+        x: list[int] = []
+        for k, terms in enumerate(below):
+            x.append(v[k] - sum(c * x[j] for j, c in terms))
+        return x
+
+    return solve
 
 
 @lru_cache(maxsize=None)
-def _tabloid_index(parts: Partition) -> dict[Tabloid, int]:
+def _generators(parts: Partition) -> tuple[Generator, ...]:
+    """D(s_i) for i = 1..r-1, each as its sparse integer columns."""
+    parts = _checked_shape(parts)
     r = sum(parts)
+    tableaux = standard_tableaux(parts)
+    f = len(tableaux)
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    rows_of, cells = [], []
+    for t in tableaux:
+        row_of, cell = [0] * (r + 1), [None] * (r + 1)
+        for i, entries in enumerate(t.rows):
+            for j, v in enumerate(entries):
+                row_of[v], cell[v] = i, (i, j)
+        rows_of.append(row_of)
+        cells.append(cell)
+    basis = [[_coefficient(row_of, t.columns()) for t in tableaux] for row_of in rows_of]
+    solve = _unitriangular_solver(basis)
+    gens = []
+    for i in range(1, r):
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(f)]
+        for b, t in enumerate(tableaux):
+            (row, col), (row1, col1) = cells[b][i], cells[b][i + 1]
+            if col == col1:
+                expansion = [(b, -1)]
+            else:
+                swap = {i: i + 1, i + 1: i}
+                image = tuple(tuple(swap.get(v, v) for v in entries) for entries in t.rows)
+                if row != row1:
+                    expansion = [(index[image], 1)]
+                else:
+                    image_columns = [[entries[j] for entries in image if len(entries) > j]
+                                     for j in range(parts[0])]
+                    x = solve([_coefficient(row_of, image_columns) for row_of in rows_of])
+                    expansion = [(a, c) for a, c in enumerate(x) if c]
+            # D(s_i) is the transpose of the polytabloid matrix of s_i
+            for a, c in expansion:
+                columns[a].append((b, c))
+        gens.append(tuple(tuple(column) for column in columns))
+    return tuple(gens)
 
-    def split(rest: tuple[int, ...], sizes: tuple[int, ...]):
-        if not sizes:
-            yield ()
-            return
-        for first in combinations(rest, sizes[0]):
-            remaining = tuple(v for v in rest if v not in first)
-            for tail in split(remaining, sizes[1:]):
-                yield (first, *tail)
 
-    return {tab: i for i, tab in enumerate(split(tuple(range(1, r + 1)), parts))}
-
-
-def _polytabloid(t: YoungTableau, index: Mapping[Tabloid, int]) -> list[Rational]:
-    vec: list[Rational] = [0] * len(index)
-    for q in t.vertical_group():
-        vec[index[_tabloid_of(t.apply(q))]] += q.sign()
-    return vec
+def _times_generator(m: Columns, gen: Generator) -> Columns:
+    """m . D(s_i), column by column."""
+    out = []
+    for terms in gen:
+        if len(terms) == 1:
+            b, c = terms[0]
+            out.append(m[b] if c == 1 else tuple(c * v for v in m[b]))
+        else:
+            acc = [0] * len(m)
+            for b, c in terms:
+                acc = [u + c * v for u, v in zip(acc, m[b])]
+            out.append(tuple(acc))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _polytabloid_columns(parts: Partition) -> list[list[Rational]]:
-    """Rows of the (tabloids x standard tableaux) expansion matrix."""
-    index = _tabloid_index(parts)
-    cols = [_polytabloid(t, index) for t in standard_tableaux(parts)]
-    return [list(row) for row in zip(*cols)]
+def _descent_tree(words: Iterable[Word]) -> Tree:
+    """Every word's first-descent chain down to the identity, as child lists.
+
+    The parent of a word w with first descent i (w[i] > w[i+1], 0-based) is
+    w with those two entries swapped, that is w s_{i+1}, one inversion shorter.
+    """
+    seen: set[Word] = set()
+    children: Tree = {}
+    for w in words:
+        while w not in seen:
+            seen.add(w)
+            i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+            if i is None:
+                break
+            parent = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            children.setdefault(parent, []).append((i, w))
+            w = parent
+    return children
 
 
-@lru_cache(maxsize=None)
-def _specht_matrix(parts: Partition, images: tuple[int, ...]) -> Matrix:
-    """Matrix of p on standard polytabloids, columns = images of basis."""
-    p = Permutation(images)
-    index = _tabloid_index(parts)
-    basis_rows = _polytabloid_columns(parts)
-    image_cols = [_polytabloid(t.apply(p), index) for t in standard_tableaux(parts)]
-    image_rows = [list(row) for row in zip(*image_cols)]
-    return linalg.matrix(linalg.solve_columns(basis_rows, image_rows))
+def _walk(parts: Partition, children: Tree) -> Iterator[tuple[Word, Columns]]:
+    """(word, columns of D(word)) over the identity and a descent tree, depth first.
+
+    A child's matrix is its parent's times one generator, computed when the
+    child is reached, so only the matrices on the current path are alive.
+    """
+    gens = _generators(parts)
+    f = hook_dimension(parts)
+    identity = tuple(tuple(int(i == j) for i in range(f)) for j in range(f))
+    stack = [(tuple(range(1, sum(parts) + 1)), identity, None)]
+    while stack:
+        w, m, i = stack.pop()
+        if i is not None:
+            m = _times_generator(m, gens[i])
+        yield w, m
+        stack.extend((child, m, j) for j, child in children.get(w, ()))
 
 
 def natural_rep_matrix(parts: Sequence[int], p: Permutation) -> Matrix:
     """The irreducible matrix of p for this shape, exact and integral."""
-    parts = validate_partition(parts)
+    parts = _checked_shape(parts)
     if sum(parts) != p.degree:
         raise ValueError(f"shape weight {sum(parts)} != degree {p.degree}")
-    if len(parts) == 1:
-        return ((1,),)
-    if parts[0] == 1:
-        return ((p.sign(),),)
-    return linalg.mat_transpose(_specht_matrix(parts, p.inverse().images))
+    chain = dict(_walk(parts, _descent_tree([p.images])))
+    return tuple(zip(*chain[p.images]))
 
 
 class BlockMatrixImage:
@@ -161,11 +266,20 @@ class BlockMatrixImage:
 
 def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
     """Blockwise sum of a(p) times the representation matrix of p."""
-    shapes = partitions_of(a.degree)
-    blocks = [linalg.zero_matrix(hook_dimension(s)) for s in shapes]
-    for p, c in a.terms():
-        for k, shape in enumerate(shapes):
-            blocks[k] = linalg.mat_add(blocks[k], linalg.mat_scale(c, natural_rep_matrix(shape, p)))
+    terms = a.terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    numerators = {p.images: int(c * den) for p, c in terms}
+    tree = _descent_tree(numerators)
+    blocks = []
+    for shape in partitions_of(a.degree):
+        f = hook_dimension(shape)
+        acc = [[0] * f for _ in range(f)]
+        for w, m in _walk(shape, tree):
+            n = numerators.get(w)
+            if n:
+                for j, column in enumerate(m):
+                    acc[j] = [u + n * v for u, v in zip(acc[j], column)]
+        blocks.append([[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)])
     return BlockMatrixImage(a.degree, blocks)
 
 
@@ -173,20 +287,26 @@ def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
     """Exact two-sided inverse of fourier_transform.
 
     Coefficient at p is the dimension-weighted sum over shapes of
-    trace(D(p^{-1}) . block), divided by r!.
+    trace(D(p^{-1}) . block), divided by r!. Every block is scaled to one
+    common denominator, so each trace is an integer dot product.
     """
     degree = image.degree
-    shapes = partitions_of(degree)
-    dims = [hook_dimension(s) for s in shapes]
-    size = factorial(degree)
-    coeffs = []
-    for p in symmetric_group(degree):
-        pinv = p.inverse()
-        total = Fraction(0)
-        for shape, d, block in zip(shapes, dims, image.blocks):
-            total += d * Fraction(linalg.trace_of_product(natural_rep_matrix(shape, pinv), block))
-        coeffs.append(as_rational(total / size))
-    return GroupRingElement(degree, coeffs)
+    den = lcm(*(x.denominator for block in image.blocks for row in block for x in row))
+    rank = _rank_table(degree)
+    inverse = _inverse_table(degree)
+    tree = _descent_tree(rank)
+    totals = [0] * len(rank)
+    for shape, block in zip(partitions_of(degree), image.blocks):
+        if not any(any(row) for row in block):
+            continue
+        d = len(block)
+        rows = [[int(d * den * x) for x in row] for row in block]
+        # trace(D(q) B) is column j of D(q) dotted with row j of B, summed over j
+        for w, m in _walk(shape, tree):
+            totals[inverse[rank[w]]] += sum(u * v for column, row in zip(m, rows)
+                                            for u, v in zip(column, row))
+    size = den * factorial(degree)
+    return GroupRingElement(degree, [as_rational(Fraction(t, size)) for t in totals])
 
 
 def x_matrix(nu: Rational) -> Matrix:
@@ -220,4 +340,4 @@ def fourier_eta() -> GroupRingElement:
 def character(parts: Sequence[int], p: Permutation) -> Rational:
     """Trace of the irreducible matrix of p."""
     m = natural_rep_matrix(parts, p)
-    return as_rational(sum(m[i][i] for i in range(len(m))))
+    return sum(m[i][i] for i in range(len(m)))

@@ -32,7 +32,15 @@ MAX_DEGREE = 8
 
 @lru_cache(maxsize=None)
 def _inverse_table(degree: int) -> tuple[int, ...]:
-    return tuple(perm_rank(p.inverse()) for p in symmetric_group(degree))
+    """table[k] = index of the inverse of the k-th permutation, from raw one-line words."""
+    rank = _rank_table(degree)
+    out = []
+    for w in rank:
+        inv = [0] * degree
+        for i, v in enumerate(w, start=1):
+            inv[v - 1] = i
+        out.append(rank[tuple(inv)])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -124,41 +124,3 @@ def trace_of_product(a: Matrix, b: Matrix) -> Rational:
     """trace(a @ b) without forming the product."""
     total = sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
     return as_rational(Fraction(total))
-
-
-def solve_columns(a_rows: Sequence[Sequence[Rational]],
-                  b_rows: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
-    """Solve A X = B exactly; A must have full column rank.
-
-    Returns X as a list of rows. Raises ValueError on an inconsistent or
-    rank-deficient system.
-    """
-    n_rows = len(a_rows)
-    n_cols = len(a_rows[0]) if n_rows else 0
-    n_rhs = len(b_rows[0]) if b_rows else 0
-    aug = [
-        [Fraction(x) for x in a_rows[i]] + [Fraction(y) for y in b_rows[i]]
-        for i in range(n_rows)
-    ]
-    pivot_rows: list[int] = []
-    row_at = 0
-    for col in range(n_cols):
-        src = next((i for i in range(row_at, n_rows) if aug[i][col] != 0), None)
-        if src is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[row_at], aug[src] = aug[src], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for i in range(n_rows):
-            if i != row_at and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row_at])]
-        pivot_rows.append(row_at)
-        row_at += 1
-    for i in range(row_at, n_rows):
-        if any(x != 0 for x in aug[i][n_cols:]):
-            raise ValueError("inconsistent linear system")
-    return [
-        [as_rational(aug[r][n_cols + k]) for k in range(n_rhs)]
-        for r in pivot_rows
-    ]

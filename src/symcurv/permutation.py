@@ -154,13 +154,25 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def symmetric_group(degree: int) -> tuple[Permutation, ...]:
-    """All of S_r in lexicographic one-line order; the canonical enumeration."""
-    return tuple(Permutation(w) for w in _lex_words(range(1, degree + 1)))
+    """All of S_r in lexicographic one-line order; the canonical enumeration.
+
+    Each element shares its one-line tuple with the rank table's key, and
+    skips the bijection check, since every word of the table is one.
+    """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    group = []
+    for w in _rank_table(degree):
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", w)
+        group.append(p)
+    return tuple(group)
 
 
 @lru_cache(maxsize=None)
 def _rank_table(degree: int) -> dict[tuple[int, ...], int]:
-    return {p.images: i for i, p in enumerate(symmetric_group(degree))}
+    """One-line word to index; itertools.permutations already yields the canonical order."""
+    return {w: i for i, w in enumerate(_lex_words(range(1, degree + 1)))}
 
 
 def perm_rank(p: Permutation) -> int:

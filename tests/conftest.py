@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from itertools import permutations as _words
 from math import factorial
 
@@ -14,6 +16,8 @@ from symcurv import (
     symmetric_group,
     young_symmetrizer,
 )
+from symcurv.linalg import matrix, mat_transpose
+from symcurv.rationals import as_rational
 
 
 def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
@@ -81,3 +85,79 @@ def random_symmetric3(rng, dim: int, span: int = 4) -> DenseTensor:
 
 def random_frame(rng, order: int, dim: int, span: int = 3) -> list[list[int]]:
     return [[rng.randint(-span, span) for _ in range(dim)] for _ in range(order)]
+
+
+def solve_columns(a_rows, b_rows):
+    """Solve A X = B exactly by Fraction Gauss-Jordan; A must have full column rank.
+
+    Returns X as a list of rows. Raises ValueError on an inconsistent or
+    rank-deficient system.
+    """
+    n_rows = len(a_rows)
+    n_cols = len(a_rows[0]) if n_rows else 0
+    n_rhs = len(b_rows[0]) if b_rows else 0
+    aug = [
+        [Fraction(x) for x in a_rows[i]] + [Fraction(y) for y in b_rows[i]]
+        for i in range(n_rows)
+    ]
+    pivot_rows = []
+    row_at = 0
+    for col in range(n_cols):
+        src = next((i for i in range(row_at, n_rows) if aug[i][col] != 0), None)
+        if src is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[row_at], aug[src] = aug[src], aug[row_at]
+        inv = 1 / aug[row_at][col]
+        aug[row_at] = [x * inv for x in aug[row_at]]
+        for i in range(n_rows):
+            if i != row_at and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row_at])]
+        pivot_rows.append(row_at)
+        row_at += 1
+    for i in range(row_at, n_rows):
+        if any(x != 0 for x in aug[i][n_cols:]):
+            raise ValueError("inconsistent linear system")
+    return [
+        [as_rational(aug[r][n_cols + k]) for k in range(n_rhs)]
+        for r in pivot_rows
+    ]
+
+
+def _polytabloid(t, index):
+    """The polytabloid of t on every tabloid of its shape."""
+    vec = [0] * len(index)
+    for q in t.vertical_group():
+        vec[index[tuple(tuple(sorted(row)) for row in t.apply(q).rows)]] += q.sign()
+    return vec
+
+
+@lru_cache(maxsize=None)
+def _tabloid_basis(parts):
+    """Every tabloid of the shape numbered, and the standard polytabloids as rows over them."""
+    def split(rest, sizes):
+        if not sizes:
+            yield ()
+            return
+        for first in combinations(rest, sizes[0]):
+            remaining = tuple(v for v in rest if v not in first)
+            for tail in split(remaining, sizes[1:]):
+                yield (first, *tail)
+
+    index = {tab: i for i, tab in enumerate(split(tuple(range(1, sum(parts) + 1)), parts))}
+    columns = [_polytabloid(t, index) for t in standard_tableaux(parts)]
+    return index, [list(row) for row in zip(*columns)]
+
+
+def tabloid_solve_rep(parts, p):
+    """Young's natural representation by a solve over every tabloid.
+
+    The images under p^{-1} of the standard polytabloids are expanded on
+    all tabloids and solved for in the standard basis; D(p) is the
+    transpose of that matrix.
+    """
+    parts = tuple(parts)
+    index, basis_rows = _tabloid_basis(parts)
+    q = p.inverse()
+    images = [_polytabloid(t.apply(q), index) for t in standard_tableaux(parts)]
+    return mat_transpose(matrix(solve_columns(basis_rows, [list(row) for row in zip(*images)])))

@@ -125,6 +125,33 @@ def test_fourier_of_element_file(tmp_path, capsys):
     assert "(2 1)" in out
 
 
+# `symcurv fourier --json` of the u = 1 curvature symmetrizer y*, byte for byte
+FOURIER_CURVATURE_1_STAR = (
+    '{"degree": 5, "blocks": [{"partition": [5], "matrix": [["0"]]}, {"partition": [4, '
+    '1], "matrix": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], '
+    '["0", "0", "0", "0"]]}, {"partition": [3, 2], "matrix": [["4", "-4", "4", "4", '
+    '"-8"], ["-4", "4", "-4", "-4", "8"], ["-8", "8", "-8", "-8", "16"], ["-8", "8", '
+    '"-8", "-8", "16"], ["-16", "16", "-16", "-16", "32"]]}, {"partition": [3, 1, 1], '
+    '"matrix": [["0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"], ["0", '
+    '"0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", '
+    '"0"], ["0", "0", "0", "0", "0", "0"]]}, {"partition": [2, 2, 1], "matrix": [["0", '
+    '"0", "0", "0", "0"], ["0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0"], ["0", '
+    '"0", "0", "0", "0"], ["0", "0", "0", "0", "0"]]}, {"partition": [2, 1, 1, 1], '
+    '"matrix": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", '
+    '"0", "0", "0"]]}, {"partition": [1, 1, 1, 1, 1], "matrix": [["0"]]}]}'
+)
+
+
+def test_fourier_json_of_curvature_star_is_pinned(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", "1", "--star", "--json")
+    assert code == 0
+    path = tmp_path / "ystar.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "fourier", "--json", str(path))
+    assert code == 0
+    assert out == FOURIER_CURVATURE_1_STAR + "\n"
+
+
 def test_gamma_hat_file_round_trip(tmp_path, capsys):
     rng = random.Random(21)
     s = random_symmetric2(rng, 3)

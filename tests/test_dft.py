@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element
+from conftest import random_element, tabloid_solve_rep
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -22,6 +22,8 @@ from symcurv import (
     y_matrix,
     young_symmetrizer,
 )
+from symcurv.dft import _generators
+from symcurv.group_ring import MAX_DEGREE
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 
 
@@ -91,6 +93,58 @@ def test_natural_rep_entries_are_integers():
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
         natural_rep_matrix((2, 1), Permutation.identity(4))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_matches_tabloid_solve_exhaustive(r):
+    for shape in partitions_of(r):
+        for p in symmetric_group(r):
+            assert natural_rep_matrix(shape, p) == tabloid_solve_rep(shape, p)
+
+
+@pytest.mark.parametrize("r, per_shape", [(6, 8), (7, 2)])
+def test_matches_tabloid_solve_sampled(r, per_shape):
+    rng = random.Random(r)
+    group = symmetric_group(r)
+    for shape in partitions_of(r):
+        for p in rng.sample(group, per_shape):
+            assert natural_rep_matrix(shape, p) == tabloid_solve_rep(shape, p)
+
+
+SHAPES_UP_TO_7 = [shape for r in range(1, 8) for shape in partitions_of(r)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_7, ids=str)
+def test_coxeter_relations(shape):
+    r = sum(shape)
+    s = [None] + [natural_rep_matrix(shape, Permutation.transposition(r, i, i + 1))
+                  for i in range(1, r)]
+    one = identity_matrix(hook_dimension(shape))
+    for i in range(1, r):
+        assert all(isinstance(v, int) for row in s[i] for v in row)
+        assert mat_mul(s[i], s[i]) == one
+        if i + 1 < r:
+            assert mat_mul(s[i], mat_mul(s[i + 1], s[i])) == mat_mul(s[i + 1], mat_mul(s[i], s[i + 1]))
+        for j in range(i + 2, r):
+            assert mat_mul(s[i], s[j]) == mat_mul(s[j], s[i])
+
+
+@pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
+def test_generators_build_at_every_degree(r):
+    # the standard polytabloids must be unitriangular on the standard tabloids
+    for shape in partitions_of(r):
+        gens = _generators(shape)
+        assert len(gens) == r - 1
+        assert all(isinstance(c, int) for gen in gens for column in gen for _, c in column)
+
+
+def test_oversized_shapes_refused_before_enumeration():
+    with pytest.raises(ValueError, match="degree cap"):
+        natural_rep_matrix((6, 6), Permutation.identity(12))
+    with pytest.raises(ValueError, match="degree cap"):
+        character((5, 4), Permutation.identity(9))
+    with pytest.raises(ValueError, match="degree cap"):
+        _generators((MAX_DEGREE + 1,))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

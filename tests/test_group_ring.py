@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -18,7 +19,8 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import _stabilizer_blocks
+from symcurv.group_ring import _inverse_table, _stabilizer_blocks
+from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
 
 
@@ -331,3 +333,12 @@ def test_degree_8_curvature_symmetrizer_is_essentially_idempotent():
     y = young_symmetrizer(curvature_tableau(4)).star()
     assert y.support_size() == 6 * 5 * 4 * 3 * 2 * 2 * 4
     assert y.is_essentially_idempotent() == 2016
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_rank_and_inverse_tables_match_permutation_objects(degree):
+    group = sorted(Permutation(w) for w in permutations(range(1, degree + 1)))
+    assert symmetric_group(degree) == tuple(group)
+    assert list(_rank_table(degree).items()) == [(p.images, i) for i, p in enumerate(group)]
+    inverse_rank = {p.inverse(): i for i, p in enumerate(group)}
+    assert _inverse_table(degree) == tuple(inverse_rank[p] for p in group)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import solve_columns
 from symcurv.linalg import (
     RowBasis,
     identity_matrix,
@@ -9,7 +10,6 @@ from symcurv.linalg import (
     mat_transpose,
     matrix,
     rank_of_rows,
-    solve_columns,
     trace_of_product,
 )
 
