@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .group_ring import MAX_DEGREE, GroupRingElement, _inverse_table
@@ -38,6 +38,7 @@ from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
 from .tableaux import (
     Partition,
+    YoungTableau,
     format_partition,
     hook_dimension,
     partitions_of,
@@ -81,19 +82,26 @@ def _coefficient(row_of: Sequence[int], columns: Sequence[Sequence[int]]) -> int
     return sign
 
 
-def _unitriangular_solver(a: list[list[int]]) -> Callable[[list[int]], list[int]]:
-    """Solve a x = v by forward substitution in ints; a must be lower unitriangular."""
-    if any(row[k] != 1 or any(row[k + 1:]) for k, row in enumerate(a)):
-        raise ArithmeticError("standard polytabloids are not unitriangular on the standard tabloids")
-    below = [[(j, c) for j, c in enumerate(row[:k]) if c] for k, row in enumerate(a)]
+def _cells(t: YoungTableau) -> list[tuple[int, int]]:
+    """cells[v] is the (row, column) of entry v in t; index 0 is unused."""
+    cells = [(0, 0)] * (t.size + 1)
+    for i, entries in enumerate(t.rows):
+        for j, v in enumerate(entries):
+            cells[v] = (i, j)
+    return cells
 
-    def solve(v: list[int]) -> list[int]:
-        x: list[int] = []
-        for k, terms in enumerate(below):
-            x.append(v[k] - sum(c * x[j] for j, c in terms))
-        return x
 
-    return solve
+@lru_cache(maxsize=None)
+def _specht_matrix(parts: Partition) -> tuple[tuple[int, ...], ...]:
+    """The standard polytabloids on the standard tabloids, both in last-letter order.
+
+    Entry [k][j] is the coefficient of the tabloid of t_k in the polytabloid
+    of t_j; the matrix is lower unitriangular.
+    """
+    parts = _checked_shape(parts)
+    tableaux = standard_tableaux(parts)
+    rows_of = [[row for row, _ in _cells(t)] for t in tableaux]
+    return tuple(tuple(_coefficient(row_of, t.columns()) for t in tableaux) for row_of in rows_of)
 
 
 @lru_cache(maxsize=None)
@@ -102,36 +110,36 @@ def _generators(parts: Partition) -> tuple[Generator, ...]:
     parts = _checked_shape(parts)
     r = sum(parts)
     tableaux = standard_tableaux(parts)
-    f = len(tableaux)
     index = {t.rows: k for k, t in enumerate(tableaux)}
-    rows_of, cells = [], []
-    for t in tableaux:
-        row_of, cell = [0] * (r + 1), [None] * (r + 1)
-        for i, entries in enumerate(t.rows):
-            for j, v in enumerate(entries):
-                row_of[v], cell[v] = i, (i, j)
-        rows_of.append(row_of)
-        cells.append(cell)
-    basis = [[_coefficient(row_of, t.columns()) for t in tableaux] for row_of in rows_of]
-    solve = _unitriangular_solver(basis)
+    cells = [_cells(t) for t in tableaux]
+    rows_of = [[row for row, _ in cell] for cell in cells]
     gens = []
     for i in range(1, r):
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(f)]
+        # expansion of the polytabloid of s_i t_b in the standard polytabloids, by b
+        expansions: list[list[tuple[int, int]]] = []
+        same_row, images = [], []
         for b, t in enumerate(tableaux):
             (row, col), (row1, col1) = cells[b][i], cells[b][i + 1]
             if col == col1:
-                expansion = [(b, -1)]
+                expansions.append([(b, -1)])
+                continue
+            swap = {i: i + 1, i + 1: i}
+            image = tuple(tuple(swap.get(v, v) for v in entries) for entries in t.rows)
+            if row != row1:
+                expansions.append([(index[image], 1)])
             else:
-                swap = {i: i + 1, i + 1: i}
-                image = tuple(tuple(swap.get(v, v) for v in entries) for entries in t.rows)
-                if row != row1:
-                    expansion = [(index[image], 1)]
-                else:
-                    image_columns = [[entries[j] for entries in image if len(entries) > j]
-                                     for j in range(parts[0])]
-                    x = solve([_coefficient(row_of, image_columns) for row_of in rows_of])
-                    expansion = [(a, c) for a, c in enumerate(x) if c]
-            # D(s_i) is the transpose of the polytabloid matrix of s_i
+                image_columns = [[entries[j] for entries in image if len(entries) > j]
+                                 for j in range(parts[0])]
+                same_row.append(b)
+                images.append([_coefficient(row_of, image_columns) for row_of in rows_of])
+                expansions.append([])
+        if same_row:
+            solved = linalg.solve_columns(_specht_matrix(parts), list(zip(*images)))
+            for k, b in enumerate(same_row):
+                expansions[b] = [(a, x[k]) for a, x in enumerate(solved) if x[k]]
+        # D(s_i) is the transpose of the polytabloid matrix of s_i
+        columns: list[list[tuple[int, int]]] = [[] for _ in tableaux]
+        for b, expansion in enumerate(expansions):
             for a, c in expansion:
                 columns[a].append((b, c))
         gens.append(tuple(tuple(column) for column in columns))

@@ -100,6 +100,9 @@ def zero_matrix(d: int) -> Matrix:
     return tuple((0,) * d for _ in range(d))
 
 
+# mat_add and mat_scale have no caller in the package. perfbench/tracing.py
+# traces them by name and its self-test requires every target it names;
+# they go when the benchmark drops them.
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -124,3 +127,22 @@ def trace_of_product(a: Matrix, b: Matrix) -> Rational:
     """trace(a @ b) without forming the product."""
     total = sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
     return as_rational(Fraction(total))
+
+
+def solve_columns(a_rows: Sequence[Sequence[int]],
+                  b_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Solve A X = B in integers by forward substitution; A must be lower unitriangular.
+
+    Returns X as a list of rows. Raises ArithmeticError when A is not lower
+    unitriangular.
+    """
+    x: list[list[int]] = []
+    for k, row in enumerate(a_rows):
+        if row[k] != 1 or any(row[k + 1:]):
+            raise ArithmeticError("matrix is not lower unitriangular")
+        acc = list(b_rows[k])
+        for j, c in enumerate(row[:k]):
+            if c:
+                acc = [u - c * v for u, v in zip(acc, x[j])]
+        x.append(acc)
+    return x

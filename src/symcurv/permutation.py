@@ -154,19 +154,8 @@ class Permutation:
 
 @lru_cache(maxsize=None)
 def symmetric_group(degree: int) -> tuple[Permutation, ...]:
-    """All of S_r in lexicographic one-line order; the canonical enumeration.
-
-    Each element shares its one-line tuple with the rank table's key, and
-    skips the bijection check, since every word of the table is one.
-    """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    group = []
-    for w in _rank_table(degree):
-        p = object.__new__(Permutation)
-        object.__setattr__(p, "images", w)
-        group.append(p)
-    return tuple(group)
+    """All of S_r in lexicographic one-line order; the canonical enumeration."""
+    return tuple(Permutation(w) for w in _rank_table(degree))
 
 
 @lru_cache(maxsize=None)

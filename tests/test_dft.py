@@ -22,7 +22,7 @@ from symcurv import (
     y_matrix,
     young_symmetrizer,
 )
-from symcurv.dft import _generators
+from symcurv.dft import _generators, _specht_matrix
 from symcurv.group_ring import MAX_DEGREE
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 
@@ -133,6 +133,8 @@ def test_coxeter_relations(shape):
 def test_generators_build_at_every_degree(r):
     # the standard polytabloids must be unitriangular on the standard tabloids
     for shape in partitions_of(r):
+        a = _specht_matrix(shape)
+        assert all(row[k] == 1 and not any(row[k + 1:]) for k, row in enumerate(a))
         gens = _generators(shape)
         assert len(gens) == r - 1
         assert all(isinstance(c, int) for gen in gens for column in gen for _, c in column)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import solve_columns
+from symcurv import linalg
 from symcurv.linalg import (
     RowBasis,
     identity_matrix,
@@ -68,3 +69,18 @@ def test_trace_of_product_matches_full_product():
 def test_transpose_identity():
     m = identity_matrix(3)
     assert mat_transpose(m) == m
+
+
+def test_unitriangular_solve_columns_exact():
+    a = [[1, 0, 0], [2, 1, 0], [-1, 3, 1]]
+    x = [[1, -2], [0, 5], [4, 1]]
+    b = mat_mul(matrix(a), matrix(x))
+    solved = linalg.solve_columns(a, b)
+    assert solved == x
+    assert all(isinstance(v, int) for row in solved for v in row)
+
+
+def test_unitriangular_solve_columns_rejects_other_matrices():
+    for a in ([[2, 0], [1, 1]], [[1, 1], [0, 1]]):
+        with pytest.raises(ArithmeticError):
+            linalg.solve_columns(a, [[1], [1]])
