@@ -30,6 +30,12 @@ from .rationals import Rational, as_rational, format_rational, wire_json, wire_s
 MAX_DEGREE = 8
 
 
+def _require_degree(degree: int) -> None:
+    """Refuse a degree outside 1..MAX_DEGREE, before anything of size r! is built."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+
+
 @lru_cache(maxsize=None)
 def _inverse_table(degree: int) -> tuple[int, ...]:
     """table[k] = index of the inverse of the k-th permutation, from raw one-line words."""
@@ -128,8 +134,7 @@ class GroupRingElement:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+        _require_degree(degree)
         size = factorial(degree)
         coeffs = tuple(as_rational(c) for c in coeffs)
         if len(coeffs) != size:
@@ -144,6 +149,7 @@ class GroupRingElement:
 
     @classmethod
     def zero(cls, degree: int) -> "GroupRingElement":
+        _require_degree(degree)
         return cls(degree, [0] * factorial(degree))
 
     @classmethod
@@ -152,6 +158,7 @@ class GroupRingElement:
 
     @classmethod
     def from_permutation(cls, p: Permutation, coeff: Rational = 1) -> "GroupRingElement":
+        _require_degree(p.degree)
         coeffs = [0] * factorial(p.degree)
         coeffs[perm_rank(p)] = coeff
         return cls(p.degree, coeffs)
@@ -159,6 +166,7 @@ class GroupRingElement:
     @classmethod
     def from_terms(cls, degree: int,
                    terms: Iterable[tuple[Permutation | Sequence[int], Rational]]) -> "GroupRingElement":
+        _require_degree(degree)
         coeffs = [0] * factorial(degree)
         for perm, coeff in terms:
             if not isinstance(perm, Permutation):

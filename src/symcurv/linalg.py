@@ -76,8 +76,8 @@ class RowBasis:
         return self.residual(row) is None
 
 
-def rank_of_rows(rows: Iterable[Sequence[Rational]], width: int | None = None) -> int:
-    basis: RowBasis | None = None if width is None else RowBasis(width)
+def rank_of_rows(rows: Iterable[Sequence[Rational]]) -> int:
+    basis: RowBasis | None = None
     for row in rows:
         if basis is None:
             basis = RowBasis(len(row))

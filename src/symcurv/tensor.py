@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import permutations as _words
 from itertools import product as _cartesian
 from math import factorial, perm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .group_ring import MAX_DEGREE, GroupRingElement
 from .linalg import rank_of_rows
@@ -151,7 +151,7 @@ class DenseTensor:
     def is_fully_symmetric(self) -> bool:
         """(id - (i i+1))T = 0 for every adjacent transposition."""
         return all(
-            apply_operator(_annihilator(self.order, f"({i} {i + 1})", sign=-1), self).is_zero()
+            apply_operator(_slot_sum(self.order, ("()", 1), (f"({i} {i + 1})", -1)), self).is_zero()
             for i in range(1, self.order)
         )
 
@@ -159,7 +159,7 @@ class DenseTensor:
         """(id + (1 2))T = 0 for an order-2 tensor."""
         if self.order != 2:
             raise ValueError("alternation check is for order-2 tensors")
-        return apply_operator(_annihilator(2, "(1 2)"), self).is_zero()
+        return apply_operator(_slot_sum(2, ("()", 1), ("(1 2)", 1)), self).is_zero()
 
     # -- wire form ---------------------------------------------------------
 
@@ -168,9 +168,9 @@ class DenseTensor:
             "order": self.order,
             "dim": self.dim,
             "coords": [
-                {"idx": list(idx), "val": format_rational(self[idx])}
-                for idx in _all_indices(self.order, self.dim)
-                if self[idx] != 0
+                {"idx": list(idx), "val": format_rational(c)}
+                for idx, c in zip(_all_indices(self.order, self.dim), self.coords)
+                if c != 0
             ],
         }
 
@@ -212,9 +212,9 @@ def _flat(idx: Sequence[int], order: int, dim: int) -> int:
     return flat
 
 
-@lru_cache(maxsize=None)
-def _all_indices(order: int, dim: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_cartesian(range(1, dim + 1), repeat=order))
+def _all_indices(order: int, dim: int) -> Iterator[tuple[int, ...]]:
+    """Every 1-based index, in coordinate order."""
+    return _cartesian(range(1, dim + 1), repeat=order)
 
 
 @lru_cache(maxsize=None)
@@ -294,62 +294,47 @@ def _require(condition: bool, message: str) -> None:
 def gamma(s: DenseTensor) -> DenseTensor:
     """Order-4 generator from a symmetric order-2 tensor.
 
-    Coordinates (1/3)(S[i,l]S[j,k] - S[i,k]S[j,l]); the result is an
-    algebraic curvature tensor.
+    Coordinates (1/3)(S[i,l]S[j,k] - S[i,k]S[j,l]), that is
+    (1/3)((2 4 3) - (2 3)) on S⊗S; the result is an algebraic curvature
+    tensor.
     """
     _require(s.order == 2, "gamma needs an order-2 tensor")
     _require(s.is_fully_symmetric(), "gamma needs a symmetric tensor")
-    n = s.dim
     third = Fraction(1, 3)
-    entries = {}
-    for i, j, k, l in _all_indices(4, n):
-        v = third * (s[(i, l)] * s[(j, k)] - s[(i, k)] * s[(j, l)])
-        if v:
-            entries[(i, j, k, l)] = v
-    return DenseTensor.from_entries(4, n, entries)
+    return apply_operator(_slot_sum(4, ("(2 4 3)", third), ("(2 3)", -third)),
+                          tensor_product(s, s))
 
 
 def alpha(a: DenseTensor) -> DenseTensor:
     """Order-4 generator from an alternating order-2 tensor.
 
-    Coordinates (1/3)(2 A[i,j]A[k,l] + A[i,k]A[j,l] - A[i,l]A[j,k]).
+    Coordinates (1/3)(2 A[i,j]A[k,l] + A[i,k]A[j,l] - A[i,l]A[j,k]),
+    that is (1/3)(2 id + (2 3) - (2 4 3)) on A⊗A.
     """
     _require(a.order == 2, "alpha needs an order-2 tensor")
     _require(a.is_alternating(), "alpha needs an alternating tensor")
-    n = a.dim
     third = Fraction(1, 3)
-    entries = {}
-    for i, j, k, l in _all_indices(4, n):
-        v = third * (2 * a[(i, j)] * a[(k, l)] + a[(i, k)] * a[(j, l)] - a[(i, l)] * a[(j, k)])
-        if v:
-            entries[(i, j, k, l)] = v
-    return DenseTensor.from_entries(4, n, entries)
+    return apply_operator(_slot_sum(4, ("()", 2 * third), ("(2 3)", third), ("(2 4 3)", -third)),
+                          tensor_product(a, a))
 
 
 def gamma_hat(s: DenseTensor, s3: DenseTensor) -> DenseTensor:
     """Order-5 generator from a symmetric pair (order 2, order 3).
 
     Coordinates 4(S[i,l]W[j,k,m] - S[j,l]W[i,k,m] + S[j,k]W[i,l,m]
-    - S[i,k]W[j,l,m]); equals the starred order-5 symmetrizer applied to
-    either tensor product order.
+    - S[i,k]W[j,l,m]), that is 4((2 4 3) - (1 2 4 3) + (1 2 3) - (2 3))
+    on S⊗W; equals the starred order-5 symmetrizer applied to either
+    tensor product order.
     """
     _require(s.order == 2, "gamma_hat needs an order-2 first factor")
     _require(s3.order == 3, "gamma_hat needs an order-3 second factor")
     _require(s.dim == s3.dim, "factors must share the dimension")
     _require(s.is_fully_symmetric(), "order-2 factor must be symmetric")
     _require(s3.is_fully_symmetric(), "order-3 factor must be totally symmetric")
-    n = s.dim
-    entries = {}
-    for i, j, k, l, m in _all_indices(5, n):
-        v = 4 * (
-            s[(i, l)] * s3[(j, k, m)]
-            - s[(j, l)] * s3[(i, k, m)]
-            + s[(j, k)] * s3[(i, l, m)]
-            - s[(i, k)] * s3[(j, l, m)]
-        )
-        if v:
-            entries[(i, j, k, l, m)] = v
-    return DenseTensor.from_entries(5, n, entries)
+    return apply_operator(
+        _slot_sum(5, ("(2 4 3)", 4), ("(1 2 4 3)", -4), ("(1 2 3)", 4), ("(2 3)", -4)),
+        tensor_product(s, s3),
+    )
 
 
 # -- identity checks ---------------------------------------------------------
@@ -362,11 +347,12 @@ def curvature_symmetrizer_star(u: int) -> GroupRingElement:
 
 
 @lru_cache(maxsize=None)
-def _annihilator(order: int, *cycles: str, sign: int = 1) -> GroupRingElement:
-    """id + sign * (sum of the permutations given in cycle notation) in S_order."""
-    return GroupRingElement.from_terms(order, [(Permutation.identity(order), 1)] + [
-        (Permutation.parse(c, order), sign) for c in cycles
-    ])
+def _slot_sum(order: int, *terms: tuple[str, Rational]) -> GroupRingElement:
+    """Sum of coefficient * permutation over (cycle notation, coefficient) terms in S_order.
+
+    "()" is the identity.
+    """
+    return GroupRingElement.from_terms(order, [(Permutation.parse(c, order), k) for c, k in terms])
 
 
 def _curvature_annihilators(order: int) -> tuple[GroupRingElement, ...]:
@@ -380,12 +366,12 @@ def _curvature_annihilators(order: int) -> tuple[GroupRingElement, ...]:
     id + (3 4 5) + (3 5 4).
     """
     table = (
-        _annihilator(order, "(3 4)"),
-        _annihilator(order, "(1 3)(2 4)", sign=-1),
-        _annihilator(order, "(2 3 4)", "(2 4 3)"),
+        _slot_sum(order, ("()", 1), ("(3 4)", 1)),
+        _slot_sum(order, ("()", 1), ("(1 3)(2 4)", -1)),
+        _slot_sum(order, ("()", 1), ("(2 3 4)", 1), ("(2 4 3)", 1)),
     )
     if order == 5:
-        table += (_annihilator(5, "(3 4 5)", "(3 5 4)"),)
+        table += (_slot_sum(5, ("()", 1), ("(3 4 5)", 1), ("(3 5 4)", 1)),)
     return table
 
 

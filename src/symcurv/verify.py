@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import Callable, Iterable
@@ -76,12 +75,6 @@ def _report(name: str, failures: list[str], summary: str) -> CheckReport:
 # -- building blocks ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def order5_symmetrizer_star() -> GroupRingElement:
-    return curvature_symmetrizer_star(1)
-
-
-@lru_cache(maxsize=None)
 def stab_xi(k: int) -> GroupRingElement:
     """The two stabilizer-product symmetrizers on five letters."""
     if k == 1:
@@ -112,7 +105,8 @@ def _pair_symmetrizer(epsilon: int, u_first: bool) -> GroupRingElement:
 
 def sigma_element(nu: Rational | None, epsilon: int, u_first: bool) -> GroupRingElement:
     """Starred symmetrizer times pair symmetrizer times embedded idempotent."""
-    return order5_symmetrizer_star() * _pair_symmetrizer(epsilon, u_first) * _embedded_idempotent(nu, u_first)
+    return (curvature_symmetrizer_star(1) * _pair_symmetrizer(epsilon, u_first)
+            * _embedded_idempotent(nu, u_first))
 
 
 def _class_label(nu: Rational | None) -> str:
@@ -184,7 +178,7 @@ def check_admissible_pairs() -> CheckReport:
 def check_sigma_nonzero() -> CheckReport:
     """Both stabilizer-product symmetrizations survive and regenerate the ideal."""
     failures = []
-    ystar = order5_symmetrizer_star()
+    ystar = curvature_symmetrizer_star(1)
     target_rank = ystar.right_ideal_rank()
     if target_rank != 5:
         failures.append(f"order-5 symmetrizer right ideal has rank {target_rank}, not 5")
@@ -210,26 +204,26 @@ def _check_dichotomy_variant(u_first: bool) -> CheckReport:
     half = Fraction(1, 2)
     for epsilon in (1, -1):
         tag = f"eps={'+1' if epsilon == 1 else '-1'}"
-        base = sigma_element(0, epsilon, u_first)
-        slope = sigma_element(1, epsilon, u_first) - base
+        sigma = {nu: sigma_element(nu, epsilon, u_first) for nu in (*NU_SAMPLES, None)}
+        base = sigma[0]
+        slope = sigma[1] - base
         # Affine coefficient functions: sigma(nu) = base + nu * slope.
         for nu in NU_SAMPLES:
             expected = base + as_rational(nu) * slope
-            if sigma_element(nu, epsilon, u_first) != expected:
+            if sigma[nu] != expected:
                 failures.append(f"{tag}: coefficients not affine at nu={format_rational(nu)}")
         if not (base + half * slope).is_zero():
             failures.append(f"{tag}: sigma does not vanish at nu=1/2")
         if slope.is_zero():
             failures.append(f"{tag}: slope vanished, zero set is not a single point")
         for nu in NU_SAMPLES:
-            vanished = sigma_element(nu, epsilon, u_first).is_zero()
+            vanished = sigma[nu].is_zero()
             if vanished != (nu == half):
                 failures.append(
                     f"{tag}: sigma at nu={format_rational(nu)} "
                     + ("vanished unexpectedly" if vanished else "should vanish")
                 )
-        rho = sigma_element(None, epsilon, u_first)
-        if rho.is_zero():
+        if sigma[None].is_zero():
             failures.append(f"{tag}: rho vanished")
     return _report(name, failures,
                    "sigma(nu) affine in nu, zero exactly at nu=1/2; rho never zero")
@@ -242,7 +236,7 @@ def check_dichotomy() -> list[CheckReport]:
 def check_gamma_hat_generators() -> CheckReport:
     """Symmetric pairs generate the order-5 class; closed form matches both products."""
     failures = []
-    ystar = order5_symmetrizer_star()
+    ystar = curvature_symmetrizer_star(1)
     pairs2 = symmetric_basis(3)
     pairs3 = symmetric_order3_basis(3)
     family = []
@@ -276,7 +270,7 @@ def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> i
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     e = class_idempotent(nu)
-    ystar = order5_symmetrizer_star()
+    ystar = curvature_symmetrizer_star(1)
     u_family = _independent_representatives(
         apply_operator(e, b) for b in coordinate_basis(3, 3)
     )

@@ -37,10 +37,10 @@ from symcurv import (
 from symcurv.verify import (
     NU_SAMPLES,
     mixed_class_span_rank,
-    order5_symmetrizer_star,
     sigma_element,
     stab_xi,
 )
+from symcurv.tensor import curvature_symmetrizer_star
 
 
 def report(number: int, description: str, failures: list[str]) -> None:
@@ -148,7 +148,7 @@ def test_criterion_4_idempotent_families():
 
 def test_criterion_5_stabilizer_products():
     failures = []
-    ystar = order5_symmetrizer_star()
+    ystar = curvature_symmetrizer_star(1)
     ranks = {"y*": ystar.right_ideal_rank()}
     for k in (1, 2):
         sigma = ystar * stab_xi(k)
@@ -188,7 +188,7 @@ def test_criterion_6_dichotomy():
 
 def test_criterion_7_symmetric_pair_generators():
     failures = []
-    ystar = order5_symmetrizer_star()
+    ystar = curvature_symmetrizer_star(1)
     family = []
     for s in symmetric_basis(3):
         for w in symmetric_order3_basis(3):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -165,6 +166,25 @@ def test_gamma_hat_file_round_trip(tmp_path, capsys):
                          "--out", str(out_path))
     assert code == 0
     assert DenseTensor.from_json(out_path.read_text()) == gamma_hat(s, w)
+
+
+def test_gamma_hat_output_is_pinned(tmp_path, capsys):
+    s_path = tmp_path / "s.json"
+    w_path = tmp_path / "w.json"
+    s_path.write_text(DenseTensor.from_entries(
+        2, 2, {(1, 1): 1, (1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2), (2, 2): -3}).to_json())
+    w = {(1, 1, 1): 2, (1, 1, 2): -1, (1, 2, 2): Fraction(1, 3), (2, 2, 2): 5}
+    w_path.write_text(DenseTensor.from_entries(
+        3, 2, {word: v for idx, v in w.items() for word in itertools.permutations(idx)}).to_json())
+    code, out, _ = run_cli(capsys, "gamma-hat", "--s", str(s_path), "--shat", str(w_path))
+    assert code == 0
+    assert out == (
+        '{"order": 5, "dim": 2, "coords": ['
+        '{"idx": [1, 2, 1, 2, 1], "val": "56/3"}, {"idx": [1, 2, 1, 2, 2], "val": "-92/3"}, '
+        '{"idx": [1, 2, 2, 1, 1], "val": "-56/3"}, {"idx": [1, 2, 2, 1, 2], "val": "92/3"}, '
+        '{"idx": [2, 1, 1, 2, 1], "val": "-56/3"}, {"idx": [2, 1, 1, 2, 2], "val": "92/3"}, '
+        '{"idx": [2, 1, 2, 1, 1], "val": "56/3"}, {"idx": [2, 1, 2, 1, 2], "val": "-92/3"}]}\n'
+    )
 
 
 def test_gamma_hat_rejects_asymmetric_input(tmp_path, capsys):

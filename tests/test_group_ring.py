@@ -215,8 +215,19 @@ def test_terms_in_enumeration_order():
 
 
 def test_degree_cap():
-    with pytest.raises(ValueError):
-        GroupRingElement.zero(9)
+    # each constructor refuses before it builds r! coefficients; degrees 10..20
+    # are never tried, since a constructor that checked late would allocate them
+    builders = (
+        GroupRingElement.zero,
+        GroupRingElement.identity,
+        lambda degree: GroupRingElement.from_permutation(Permutation.identity(degree)),
+        lambda degree: GroupRingElement.from_terms(degree, []),
+    )
+    for degree in (0, 9, 30):
+        for build in builders:
+            # at degree 0 there is no permutation, which Permutation itself refuses
+            with pytest.raises(ValueError, match=r"degree must be (in 1\.\.8|at least 1)"):
+                build(degree)
 
 
 # -- the factored product against the direct convolution ------------------------

@@ -407,10 +407,11 @@ def test_basis_family_sizes():
     assert all(t.is_alternating() for t in alternating_basis(3))
 
 
-# -- index-loop oracle for the annihilator route -------------------------------
+# -- index-loop oracles for the group-ring routes -------------------------------
 #
-# The identity checks used to be written as loops over every index; they are
-# kept here as an independent reference for the group-ring annihilators.
+# The identity checks and the closed-form generators used to be written as
+# loops over every index; they are kept here as an independent reference for
+# the group-ring elements that replaced them.
 
 
 def _indices(order, dim):
@@ -445,6 +446,61 @@ def reference_fully_symmetric(t):
 
 def reference_alternating(t):
     return all(t[(i, j)] == -t[(j, i)] for i, j in _indices(2, t.dim))
+
+
+def reference_gamma(s):
+    n = s.dim
+    third = Fraction(1, 3)
+    entries = {}
+    for i, j, k, l in _indices(4, n):
+        v = third * (s[(i, l)] * s[(j, k)] - s[(i, k)] * s[(j, l)])
+        if v:
+            entries[(i, j, k, l)] = v
+    return DenseTensor.from_entries(4, n, entries)
+
+
+def reference_alpha(a):
+    n = a.dim
+    third = Fraction(1, 3)
+    entries = {}
+    for i, j, k, l in _indices(4, n):
+        v = third * (2 * a[(i, j)] * a[(k, l)] + a[(i, k)] * a[(j, l)] - a[(i, l)] * a[(j, k)])
+        if v:
+            entries[(i, j, k, l)] = v
+    return DenseTensor.from_entries(4, n, entries)
+
+
+def reference_gamma_hat(s, s3):
+    n = s.dim
+    entries = {}
+    for i, j, k, l, m in _indices(5, n):
+        v = 4 * (
+            s[(i, l)] * s3[(j, k, m)]
+            - s[(j, l)] * s3[(i, k, m)]
+            + s[(j, k)] * s3[(i, l, m)]
+            - s[(i, k)] * s3[(j, l, m)]
+        )
+        if v:
+            entries[(i, j, k, l, m)] = v
+    return DenseTensor.from_entries(5, n, entries)
+
+
+def _typed(t):
+    return [(type(c), c) for c in t.coords]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_generators_match_index_loops(dim):
+    rng = random.Random(90 + dim)
+    inputs = [(DenseTensor.zero(2, dim), DenseTensor.zero(2, dim), DenseTensor.zero(3, dim))]
+    for scale in (1, 1, Fraction(1, 2), Fraction(-2, 3)):
+        inputs.append((random_symmetric2(rng, dim).scale(scale),
+                       random_alternating2(rng, dim).scale(scale),
+                       random_symmetric3(rng, dim).scale(scale)))
+    for s, a, w in inputs:
+        assert _typed(gamma(s)) == _typed(reference_gamma(s))
+        assert _typed(alpha(a)) == _typed(reference_alpha(a))
+        assert _typed(gamma_hat(s, w)) == _typed(reference_gamma_hat(s, w))
 
 
 def _element(degree, *terms):
