@@ -370,12 +370,9 @@ class GroupRingElement:
             move = _positions(source)
             for row, target in zip(rows, map(index.__getitem__, map(move, words))):
                 row[target] = row.get(target, 0) + c
-        basis = RowBasis(len(index))
+        basis = RowBasis()
         for entries in dict.fromkeys(frozenset((i, c) for i, c in r.items() if c) for r in rows):
-            dense = [0] * len(index)
-            for i, c in entries:
-                dense[i] = c
-            basis.add(dense)
+            basis.add(entries)
         return basis.rank
 
     def right_ideal_rank(self) -> int:

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Rank computations clear denominators and run a fraction-free row
-reduction over the integers, with per-row gcd normalization to keep
-entries small. Ranks here are tiny compared to row length, so rows are
-reduced incrementally against the basis found so far.
+Ranks come from a fraction-free row reduction over the integers. A row
+is an iterable of (column, value) pairs with distinct columns; zero
+values are skipped and there is no width, so a row costs only its
+nonzeros. Each row is cleared of denominators and divided by the gcd of
+its entries, then reduced incrementally against the basis found so far,
+in insertion order; the basis keeps primitive integer rows as
+{column: int} dicts, each with its pivot, the lowest nonzero column.
 """
 
 from __future__ import annotations
@@ -14,75 +17,76 @@ from typing import Iterable, Sequence
 
 from .rationals import Rational, as_rational
 
-
-def _integer_row(row: Sequence[Rational]) -> list[int]:
-    scale = 1
-    for x in row:
-        scale = lcm(scale, x.denominator)
-    return [int(x * scale) for x in row]
+Entries = Iterable[tuple[int, Rational]]
 
 
-def _normalize_int_row(row: list[int]) -> list[int] | None:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g == 0:
-        return None
-    if g != 1:
-        row = [x // g for x in row]
+def _primitive(entries: Entries) -> dict[int, int]:
+    """The nonzero entries as coprime integers, a positive multiple of the row."""
+    row = {i: x for i, x in entries if x}
+    scale = lcm(*(x.denominator for x in row.values()))
+    row = {i: int(x * scale) for i, x in row.items()}
+    g = gcd(*row.values())
+    if g > 1:
+        row = {i: x // g for i, x in row.items()}
     return row
 
 
 class RowBasis:
-    """Incremental basis of a rational row space (integer echelon rows)."""
+    """Incremental basis of a rational row space (primitive integer echelon rows)."""
 
-    def __init__(self, width: int):
-        self.width = width
-        self._rows: list[list[int]] = []
+    def __init__(self):
+        self._rows: list[dict[int, int]] = []
         self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def residual(self, row: Sequence[Rational]) -> list[int] | None:
-        """Reduce row against the basis; None if it is dependent."""
-        if len(row) != self.width:
-            raise ValueError(f"row length {len(row)} != width {self.width}")
-        v = _integer_row(row)
+    @property
+    def rows(self) -> tuple[dict[int, int], ...]:
+        """The basis rows in insertion order; together they span the rows added."""
+        return tuple(self._rows)
+
+    def residual(self, entries: Entries) -> dict[int, int] | None:
+        """Reduce a row against the basis; None if it is dependent."""
+        v = _primitive(entries)
         for pivot, basis_row in zip(self._pivots, self._rows):
-            if v[pivot]:
-                a, b = basis_row[pivot], v[pivot]
+            b = v.get(pivot)
+            if b:
+                a = basis_row[pivot]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
-                v = [ma * x - mb * y for x, y in zip(v, basis_row)]
-        return _normalize_int_row(v)
+                v = {i: ma * x for i, x in v.items()}
+                for i, y in basis_row.items():
+                    x = v.get(i, 0) - mb * y
+                    if x:
+                        v[i] = x
+                    else:
+                        del v[i]
+        return _primitive(v.items()) or None
 
-    def add(self, row: Sequence[Rational]) -> bool:
-        """Insert row; True iff it enlarged the span."""
-        v = self.residual(row)
+    def add(self, entries: Entries) -> bool:
+        """Insert a row; True iff it enlarged the span."""
+        v = self.residual(entries)
         if v is None:
             return False
-        pivot = next(i for i, x in enumerate(v) if x)
+        pivot = min(v)
         if v[pivot] < 0:
-            v = [-x for x in v]
+            v = {i: -x for i, x in v.items()}
         self._rows.append(v)
         self._pivots.append(pivot)
         return True
 
-    def contains(self, row: Sequence[Rational]) -> bool:
-        return self.residual(row) is None
+    def contains(self, entries: Entries) -> bool:
+        return self.residual(entries) is None
 
 
 def rank_of_rows(rows: Iterable[Sequence[Rational]]) -> int:
-    basis: RowBasis | None = None
+    """Rank of dense rows."""
+    basis = RowBasis()
     for row in rows:
-        if basis is None:
-            basis = RowBasis(len(row))
-        basis.add(row)
-    return 0 if basis is None else basis.rank
+        basis.add(enumerate(row))
+    return basis.rank
 
 
 Matrix = tuple[tuple[Rational, ...], ...]

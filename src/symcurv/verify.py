@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import Callable, Iterable
+from typing import Callable
 
 from .dft import fourier_eta, fourier_xi
 from .group_ring import GroupRingElement, stabilizer_symmetrizer
@@ -116,25 +115,6 @@ def _class_label(nu: Rational | None) -> str:
 def _type_label(epsilon: int, u_first: bool) -> str:
     pair = "S" if epsilon == 1 else "A"
     return f"Ux{pair}" if u_first else f"{pair}xU"
-
-
-def _integer_scaled(t: DenseTensor) -> DenseTensor:
-    scale = 1
-    for c in t.coords:
-        scale = lcm(scale, c.denominator)
-    return t.scale(scale)
-
-
-def _independent_representatives(tensors: Iterable[DenseTensor]) -> list[DenseTensor]:
-    """Subfamily with the same span, integer-scaled, found by elimination."""
-    reps: list[DenseTensor] = []
-    basis: RowBasis | None = None
-    for t in tensors:
-        if basis is None:
-            basis = RowBasis(len(t.coords))
-        if basis.add(t.coords):
-            reps.append(_integer_scaled(t))
-    return reps
 
 
 # -- checks -------------------------------------------------------------------
@@ -271,9 +251,11 @@ def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> i
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     e = class_idempotent(nu)
     ystar = curvature_symmetrizer_star(1)
-    u_family = _independent_representatives(
-        apply_operator(e, b) for b in coordinate_basis(3, 3)
-    )
+    # the image of e, as the primitive integer echelon rows that span it
+    image = RowBasis()
+    for b in coordinate_basis(3, 3):
+        image.add(enumerate(apply_operator(e, b).coords))
+    u_family = [DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows]
     pair_family = symmetric_basis(3) if epsilon == 1 else alternating_basis(3)
     products = []
     for u in u_family:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as _words
-from math import factorial
+from math import factorial, gcd, lcm
 
 from symcurv import (
     DenseTensor,
@@ -122,6 +122,55 @@ def solve_columns(a_rows, b_rows):
         [as_rational(aug[r][n_cols + k]) for k in range(n_rhs)]
         for r in pivot_rows
     ]
+
+
+class DenseRowBasis:
+    """The dense-row elimination that linalg.RowBasis replaced, kept as its oracle.
+
+    Rows are full-width sequences; each is scaled to integers, reduced against
+    the basis in insertion order and divided by its gcd, with its pivot the
+    lowest nonzero column.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self._pivots = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def residual(self, row):
+        if len(row) != self.width:
+            raise ValueError(f"row length {len(row)} != width {self.width}")
+        scale = 1
+        for x in row:
+            scale = lcm(scale, x.denominator)
+        v = [int(x * scale) for x in row]
+        for pivot, basis_row in zip(self._pivots, self.rows):
+            if v[pivot]:
+                a, b = basis_row[pivot], v[pivot]
+                g = gcd(a, b)
+                ma, mb = a // g, b // g
+                v = [ma * x - mb * y for x, y in zip(v, basis_row)]
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g == 0:
+            return None
+        return [x // g for x in v]
+
+    def add(self, row):
+        v = self.residual(row)
+        if v is None:
+            return False
+        pivot = next(i for i, x in enumerate(v) if x)
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        self.rows.append(v)
+        self._pivots.append(pivot)
+        return True
 
 
 def _polytabloid(t, index):

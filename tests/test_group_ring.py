@@ -68,7 +68,7 @@ def test_star_examples():
     assert a.star().star() == a
 
 
-@settings(max_examples=20)
+@settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_star_antiautomorphism_s5(seed_a, seed_b):
     a = random_element(random.Random(seed_a), 5, span=2)
@@ -158,6 +158,12 @@ def test_right_ideal_rank_matches_hook_dimension(r):
         d = hook_dimension(shape)
         for t in standard_tableaux(shape):
             assert young_symmetrizer(t).right_ideal_rank() == d
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_identity_right_ideal_rank_is_order(r):
+    # the unit rows of the regular module: r! sparse rows, each with one entry
+    assert GroupRingElement.identity(r).right_ideal_rank() == factorial(r)
 
 
 def dense_right_ideal_rank(a):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import solve_columns
+from conftest import DenseRowBasis, solve_columns
 from symcurv import linalg
 from symcurv.linalg import (
     RowBasis,
@@ -13,6 +14,7 @@ from symcurv.linalg import (
     rank_of_rows,
     trace_of_product,
 )
+from symcurv.rationals import as_rational
 
 
 def test_rank_of_simple_rows():
@@ -31,19 +33,71 @@ def test_rank_empty_and_zero():
 
 
 def test_row_basis_membership():
-    basis = RowBasis(3)
-    assert basis.add([1, 0, 1])
-    assert basis.add([0, 1, 1])
-    assert not basis.add([1, 1, 2])
-    assert basis.contains([Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)])
-    assert not basis.contains([1, 0, 0])
+    basis = RowBasis()
+    assert basis.add([(0, 1), (2, 1)])
+    assert basis.add([(1, 1), (2, 1)])
+    assert not basis.add([(0, 1), (1, 1), (2, 2)])
+    assert basis.contains([(0, Fraction(1, 3)), (1, Fraction(1, 3)), (2, Fraction(2, 3))])
+    assert not basis.contains([(0, 1)])
     assert basis.rank == 2
 
 
-def test_row_basis_rejects_bad_width():
-    basis = RowBasis(2)
-    with pytest.raises(ValueError):
-        basis.add([1, 2, 3])
+def _oracle_rows(rng, width):
+    """Seeded rational rows with zero, repeated and dependent rows mixed in."""
+    rows = []
+    for _ in range(rng.randint(1, width + 4)):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [0] * width
+        elif kind < 0.25 and rows:
+            row = list(rng.choice(rows))
+        elif kind < 0.4 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            row = [x + c * y for x, y in zip(a, b)]
+        else:
+            row = [0 if rng.random() < 0.4 else
+                   Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+                   for _ in range(width)]
+            # Fraction(k, 1) entries, as sums of Fractions produce
+            row = [Fraction(x) if rng.random() < 0.3 else as_rational(x) for x in row]
+            lead = next((i for i, x in enumerate(row) if x), None)
+            if lead is not None and rng.random() < 0.5:
+                row[lead] = -abs(row[lead])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("width", range(1, 41))
+def test_row_basis_matches_dense_oracle(width):
+    rng = random.Random(7000 + width)
+    for _ in range(3):
+        rows = _oracle_rows(rng, width)
+        sparse, dense = RowBasis(), DenseRowBasis(width)
+        kept = [sparse.add(enumerate(row)) for row in rows]
+        assert kept == [dense.add(row) for row in rows]
+        assert sparse.rank == dense.rank == rank_of_rows(rows)
+        assert [[r.get(i, 0) for i in range(width)] for r in sparse.rows] == dense.rows
+        assert all(0 not in r.values() for r in sparse.rows)
+
+
+def test_row_basis_sparse_pairs():
+    basis = RowBasis()
+    assert not basis.add([(0, 0), (2, Fraction(0))])
+    assert not basis.add([])
+    # unsorted pairs with gaps: primitive, pivot at the lowest column, made positive
+    assert basis.add([(5, 2), (1, -4), (3, 6)])
+    assert basis.rows == ({1: 2, 3: -3, 5: -1},)
+    # an explicit zero value stores nothing at its column
+    assert basis.add(iter([(10**9, Fraction(1, 2)), (7, 0), (0, 1)]))
+    assert basis.rows[1] == {0: 2, 10**9: 1}
+    assert basis.contains([(10**9, 3), (0, 6)])
+    assert not basis.contains([(10**9, 1)])
+    assert basis.add([(10**9, 1)])
+    assert basis.rows[2] == {10**9: 1}
+    assert basis.contains([(5, -7), (1, 14), (0, Fraction(-2, 5)), (3, -21), (10**9, 3)])
+    assert not basis.contains([(3, 1)])
+    assert basis.rank == 3
 
 
 def test_solve_columns_exact():

@@ -602,9 +602,9 @@ def test_projector_rank_rejects_nonpositive_dim():
 
 def dense_projector_rank(a, dim):
     """Rank of T -> aT by eliminating all dim**r images a.e_k."""
-    basis = RowBasis(dim ** a.degree)
+    basis = RowBasis()
     for idx in itertools.product(range(1, dim + 1), repeat=a.degree):
-        basis.add(apply_operator(a, DenseTensor.basis(a.degree, dim, idx)).coords)
+        basis.add(enumerate(apply_operator(a, DenseTensor.basis(a.degree, dim, idx)).coords))
     return basis.rank
 
 
