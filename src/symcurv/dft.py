@@ -22,17 +22,21 @@ last-letter order (B. Sagan, The Symmetric Group, 2nd ed., sections
 2.5-2.6). Every other matrix follows a descent chain: if p(i) > p(i+1),
 D(p) = D(p s_i) D(s_i). All arithmetic is on ints; the convention above
 is unchanged.
+
+An element is transformed the way it is multiplied: its stabilizer group
+sums become Jucys-Murphy chains and the descent tree covers the rest of its
+support. Every rank in the package is read off these blocks (block_ranks).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .group_ring import MAX_DEGREE, GroupRingElement, _inverse_table
+from .group_ring import MAX_DEGREE, GroupRingElement, _inverse_table, _sorted_on, _stabilizer_blocks
 from .linalg import Matrix
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
@@ -49,10 +53,13 @@ from .tableaux import (
 Word = tuple[int, ...]
 # A generator's columns: column a lists the (row, entry) pairs of its nonzeros.
 Generator = tuple[tuple[tuple[int, int], ...], ...]
-# A representation matrix as the tuple of its integer columns.
-Columns = tuple[tuple[int, ...], ...]
+# A representation matrix as the sequence of its integer columns.
+Columns = Sequence[Sequence[int]]
 # Child words by parent word, each child with the 0-based generator index taking the parent to it.
 Tree = dict[Word, list[tuple[int, Word]]]
+
+# Bound on (words in a transform's descent tree) x Σ f_λ² over the shapes it builds.
+MAX_TRANSFORM_WORK = 2**25
 
 
 def _checked_shape(parts: Sequence[int]) -> Partition:
@@ -272,23 +279,55 @@ class BlockMatrixImage:
         return f"<BlockMatrixImage degree={self.degree} blocks {sizes}>"
 
 
-def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
-    """Blockwise sum of a(p) times the representation matrix of p."""
-    terms = a.terms()
-    den = lcm(*(c.denominator for _, c in terms))
-    numerators = {p.images: int(c * den) for p, c in terms}
+def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[list[Columns], int]:
+    """D_λ(a) per shape as integer columns over one common denominator.
+
+    As in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over a's right stabilizer
+    blocks; the descent tree covers a0's support, and each group sum is the
+    chain Π_j (I + χ·Σ_{i<j} D((i j))), D((i j)) being the palindrome
+    s_{j-1}···s_i···s_{j-1}. Refuses before any matrix is built when the
+    tree's words times Σ f_λ² exceed MAX_TRANSFORM_WORK.
+    """
+    terms = {p.images: c for p, c in a.terms()}
+    blocks = _stabilizer_blocks(terms)
+    den = lcm(*(c.denominator for c in terms.values()))  # a's coefficients are ± a0's
+    numerators = {w: int(c * den) for w, c in terms.items() if _sorted_on(w, blocks)}
     tree = _descent_tree(numerators)
-    blocks = []
-    for shape in partitions_of(a.degree):
-        f = hook_dimension(shape)
+    sizes = [hook_dimension(shape) for shape in shapes]
+    work = (1 + sum(map(len, tree.values()))) * sum(f * f for f in sizes)
+    if work > MAX_TRANSFORM_WORK:
+        raise ValueError(f"transform work {work} exceeds the bound {MAX_TRANSFORM_WORK}")
+    out = []
+    for shape, f in zip(shapes, sizes):
         acc = [[0] * f for _ in range(f)]
         for w, m in _walk(shape, tree):
             n = numerators.get(w)
             if n:
                 for j, column in enumerate(m):
                     acc[j] = [u + n * v for u, v in zip(acc[j], column)]
-        blocks.append([[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)])
+        for block, sign in blocks if any(map(any, acc)) else ():
+            for k, j in enumerate(block[1:], start=1):
+                total = acc
+                for i in block[:k]:
+                    word = (*range(j - 1, i, -1), *range(i, j))
+                    m = reduce(_times_generator, map(_generators(shape).__getitem__, word), acc)
+                    total = [[u + sign * v for u, v in zip(x, y)] for x, y in zip(total, m)]
+                acc = total
+        out.append(acc)
+    return out, den
+
+
+def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
+    """Blockwise sum of a(p) times the representation matrix of p."""
+    columns, den = _block_columns(a, partitions_of(a.degree))
+    blocks = [[[as_rational(Fraction(x, den)) for x in row] for row in zip(*c)] for c in columns]
     return BlockMatrixImage(a.degree, blocks)
+
+
+def block_ranks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[int]:
+    """rank D_λ(a) for each listed shape."""
+    columns, _ = _block_columns(a, shapes)
+    return [linalg.rank_of_rows(c) for c in columns]
 
 
 def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:

@@ -6,7 +6,7 @@ group sum of b's right stabilizer among the Young subgroups, then
 convolves a with what is left and multiplies by that group sum as a
 chain of Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974;
 G. Murphy, J. Algebra 69, 1981). Everything is an exact rational;
-floats never enter.
+floats never enter. Right-ideal ranks are read off Fourier blocks.
 
 Elements are immutable and all caches are write-once, so values can be
 shared freely across threads.
@@ -17,12 +17,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import RowBasis
 from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
 
@@ -348,36 +346,12 @@ class GroupRingElement:
             out.append((Permutation(images), c))
         return GroupRingElement.from_terms(degree, out)
 
-    def permutation_module_rank(self, content: Sequence[int]) -> int:
-        """Rank of a on the span of the words with content[v] copies of letter v.
-
-        p moves letter w[k] to position p(k), as slot permutations move the
-        indices of a basis tensor; each distinct image a.e_w is eliminated once.
-        """
-        if any(c < 0 for c in content) or sum(content) != self.degree:
-            raise ValueError(f"content {list(content)} is not a content of degree {self.degree}")
-        words = sorted(set(permutations([v for v, c in enumerate(content) for _ in range(c)])))
-        index = {w: i for i, w in enumerate(words)}
-        terms = {p.images: c for p, c in self.terms()}
-        # a(i j) = ±a makes the images of w and (i j).w equal up to sign, so of the
-        # words only those sorted on every stabilizer block need a row
-        blocks = _stabilizer_blocks(terms)
-        words = [w for w in words if _sorted_on(w, blocks)]
-        rows: list[dict[int, Rational]] = [{} for _ in words]
-        for images, c in terms.items():
-            # p.w holds w[k] at position p(k)
-            source = sorted(range(self.degree), key=images.__getitem__)
-            move = _positions(source)
-            for row, target in zip(rows, map(index.__getitem__, map(move, words))):
-                row[target] = row.get(target, 0) + c
-        basis = RowBasis()
-        for entries in dict.fromkeys(frozenset((i, c) for i, c in r.items() if c) for r in rows):
-            basis.add(entries)
-        return basis.rank
-
     def right_ideal_rank(self) -> int:
-        """Dimension over Q of span{a * p : p in S_r}, a's rank on the regular module."""
-        return self.permutation_module_rank((1,) * self.degree)
+        """Dimension over Q of span{a * p : p in S_r}: Σ_λ f^λ · rank D_λ(a)."""
+        from .dft import block_ranks  # dft imports this module
+        from .tableaux import hook_dimension, partitions_of
+        shapes = partitions_of(self.degree)
+        return sum(hook_dimension(s) * k for s, k in zip(shapes, block_ranks(self, shapes)))
 
     # -- wire form ---------------------------------------------------------
 

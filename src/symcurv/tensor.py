@@ -13,23 +13,19 @@ Public indices are 1-based, matching the rest of the package.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
 from itertools import product as _cartesian
-from math import factorial, perm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .dft import block_ranks
 from .group_ring import MAX_DEGREE, GroupRingElement
 from .linalg import rank_of_rows
 from .permutation import Permutation, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
-from .tableaux import curvature_tableau, partitions_of, young_symmetrizer
-
-# Widest weight space, in words, that projector_rank will eliminate.
-RANK_BLOCK_CAP = 4096
+from .tableaux import curvature_tableau, partitions_of, weyl_dimension, young_symmetrizer
 
 # Dense coordinate count a tensor read from JSON may ask for.
 MAX_WIRE_COORDS = 1 << 20
@@ -452,23 +448,13 @@ def is_acdc(t: DenseTensor) -> DerivativeCurvatureDiagnostics:
 def projector_rank(a: GroupRingElement, dim: int) -> int:
     """Rank of T -> aT on order-r tensors over a dim-dimensional space.
 
-    Slot permutations keep the multiset of a basis tensor's indices, so
-    tensor space splits into weight spaces; N(λ, dim) of them are copies
-    of the permutation module M^λ, for each λ ⊢ r with at most dim parts.
-    Refuses before enumerating when the widest one (r!/Πλ_i! words)
-    exceeds RANK_BLOCK_CAP.
+    Tensor space holds weyl_dimension(λ, dim) copies of each Specht module S^λ
+    with at most dim parts, so only those shapes are transformed.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     shapes = [shape for shape in partitions_of(a.degree) if len(shape) <= dim]
-    widest = max(factorial(a.degree) // prod(map(factorial, shape)) for shape in shapes)
-    if widest > RANK_BLOCK_CAP:
-        raise ValueError(f"widest weight space has {widest} words; rank cap is {RANK_BLOCK_CAP}")
-    return sum(
-        perm(dim, len(shape)) // prod(map(factorial, Counter(shape).values()))
-        * a.permutation_module_rank(shape)
-        for shape in shapes
-    )
+    return sum(weyl_dimension(s, dim) * k for s, k in zip(shapes, block_ranks(a, shapes)))
 
 
 def generator_span_rank(family: Iterable[DenseTensor]) -> int:

@@ -9,14 +9,18 @@ from itertools import permutations as _words
 from math import factorial, gcd, lcm
 
 from symcurv import (
+    BlockMatrixImage,
     DenseTensor,
     GroupRingElement,
+    hook_dimension,
     partitions_of,
     standard_tableaux,
     symmetric_group,
     young_symmetrizer,
 )
-from symcurv.linalg import matrix, mat_transpose
+from symcurv.dft import _descent_tree, _walk
+from symcurv.group_ring import _positions, _sorted_on, _stabilizer_blocks
+from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.rationals import as_rational
 
 
@@ -210,3 +214,49 @@ def tabloid_solve_rep(parts, p):
     q = p.inverse()
     images = [_polytabloid(t.apply(q), index) for t in standard_tableaux(parts)]
     return mat_transpose(matrix(solve_columns(basis_rows, [list(row) for row in zip(*images)])))
+
+
+def module_rank(a, content):
+    """Rank of a on the span of the words with content[v] copies of letter v.
+
+    The weight-space elimination that Fourier block ranks replaced, kept as
+    their oracle. p moves letter w[k] to position p(k), as slot permutations
+    move the indices of a basis tensor; each distinct image a.e_w is
+    eliminated once, and of the words only those sorted on every stabilizer
+    block of a need a row (a(i j) = ±a makes the other images repeat up to sign).
+    """
+    if any(c < 0 for c in content) or sum(content) != a.degree:
+        raise ValueError(f"content {list(content)} is not a content of degree {a.degree}")
+    words = sorted(set(_words([v for v, c in enumerate(content) for _ in range(c)])))
+    index = {w: i for i, w in enumerate(words)}
+    terms = {p.images: c for p, c in a.terms()}
+    blocks = _stabilizer_blocks(terms)
+    words = [w for w in words if _sorted_on(w, blocks)]
+    rows = [{} for _ in words]
+    for images, c in terms.items():
+        # p.w holds w[k] at position p(k)
+        move = _positions(sorted(range(a.degree), key=images.__getitem__))
+        for row, target in zip(rows, map(index.__getitem__, map(move, words))):
+            row[target] = row.get(target, 0) + c
+    basis = RowBasis()
+    for entries in dict.fromkeys(frozenset((i, c) for i, c in r.items() if c) for r in rows):
+        basis.add(entries)
+    return basis.rank
+
+
+def descent_transform(a):
+    """The Fourier transform summed over the whole support's descent tree, unfactored."""
+    den = lcm(*(c.denominator for _, c in a.terms()))
+    numerators = {p.images: int(c * den) for p, c in a.terms()}
+    tree = _descent_tree(numerators)
+    blocks = []
+    for shape in partitions_of(a.degree):
+        f = hook_dimension(shape)
+        acc = [[0] * f for _ in range(f)]
+        for w, m in _walk(shape, tree):
+            n = numerators.get(w)
+            if n:
+                for j, column in enumerate(m):
+                    acc[j] = [u + n * v for u, v in zip(acc[j], column)]
+        blocks.append([[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)])
+    return BlockMatrixImage(a.degree, blocks)

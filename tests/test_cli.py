@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element, random_symmetric2, random_symmetric3, random_tensor
-from symcurv import DenseTensor, GroupRingElement, gamma, gamma_hat
+from symcurv import DenseTensor, GroupRingElement, gamma, gamma_hat, weyl_dimension
 from symcurv.cli import main
 
 
@@ -235,8 +235,6 @@ def test_rank_subcommand(capsys):
     assert code == 0
     assert out.strip() == "15"
     # a primitive (2 1)-class idempotent projects onto one Weyl module
-    from symcurv import weyl_dimension
-
     code, out, _ = run_cli(capsys, "rank", "--xi-nu", "1/2", "--dim", "2")
     assert code == 0
     assert out.strip() == str(weyl_dimension((2, 1), 2)) == "2"
@@ -246,13 +244,19 @@ def test_rank_subcommand(capsys):
     assert out.strip() == str(weyl_dimension((3, 2), 1000000))
 
 
-def test_rank_cap_is_fixed(capsys):
-    # degree 7 at dim 7 has a weight space of 7! = 5040 words, over the cap
-    code, out, err = run_cli(capsys, "rank", "--curvature", "3", "--dim", "7")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "rank cap is 4096" in err
+def test_rank_work_bound_is_fixed(capsys, tmp_path):
+    # the degree-7 class at dim 7 needs the 5040-word weight space the old cap refused
+    code, out, _ = run_cli(capsys, "rank", "--curvature", "3", "--dim", "7")
+    assert code == 0
+    assert out.strip() == str(weyl_dimension((5, 2), 7)) == "6468"
+    # a dense degree-8 element is refused once its descent tree is counted
+    path = tmp_path / "dense8.json"
+    path.write_text(random_element(random.Random(8), 8).to_json())
+    for argv in (["fourier", str(path)], ["rank", "--element", str(path), "--dim", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: transform work ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as excinfo:
         main(["rank", "--curvature", "1", "--dim", "3", "--max-dim", "100000"])
     assert excinfo.value.code == 2

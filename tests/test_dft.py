@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from conftest import random_element, tabloid_solve_rep
+from conftest import descent_transform, random_element, tabloid_solve_rep
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -22,8 +23,9 @@ from symcurv import (
     y_matrix,
     young_symmetrizer,
 )
-from symcurv.dft import _generators, _specht_matrix
-from symcurv.group_ring import MAX_DEGREE
+from symcurv.dft import MAX_TRANSFORM_WORK, _generators, _specht_matrix
+from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
+from symcurv.tensor import curvature_symmetrizer_star
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 
 
@@ -186,6 +188,43 @@ def test_transform_of_antisymmetrizer():
     assert image.block((1, 1, 1)) == ((expected,),)
     assert image.block((3,)) == ((0,),)
     assert image.block((2, 1)) == ((0, 0), (0, 0))
+
+
+def factored_transform_inputs():
+    """Elements with right stabilizers of both signs, and elements with none."""
+    out = []
+    for r in range(1, 6):
+        for shape in partitions_of(r):
+            for t in standard_tableaux(shape):
+                y = young_symmetrizer(t)
+                out += [y, y.star()]
+    out += [curvature_symmetrizer_star(u) for u in range(4)]
+    # the idempotents whose blocks induced_ideal_multiplicities reads
+    for left in partitions_of(2):
+        for right in partitions_of(3):
+            e1 = Fraction(hook_dimension(left), 2) * young_symmetrizer(standard_tableaux(left)[0])
+            e2 = Fraction(hook_dimension(right), 6) * young_symmetrizer(standard_tableaux(right)[0])
+            out.append(e1.embed(5, range(1, 3)) * e2.embed(5, range(3, 6)))
+    out += [GroupRingElement.zero(r) for r in (1, 4, 6)]
+    rng = random.Random(12)
+    for r in (3, 5, 6):
+        for _ in range(3):
+            coeffs = [c if rng.random() < 0.05 else 0 for c in random_element(rng, r).coeffs]
+            out.append(GroupRingElement(r, coeffs))
+    return out
+
+
+def test_factored_transform_matches_descent_transform():
+    elements = factored_transform_inputs()
+    assert any(_stabilizer_blocks({p.images: c for p, c in a.terms()}) for a in elements)
+    for a in elements:
+        assert fourier_transform(a) == descent_transform(a)
+
+
+def test_transform_work_bound_admits_dense_degree_7():
+    # 7! tree words times Σ f_λ² = 7! fit; 8! words times the 1430 of the shapes
+    # with at most two rows do not (the refusals are tested at the CLI and in ranks)
+    assert factorial(7) ** 2 <= MAX_TRANSFORM_WORK < factorial(8) * 1430
 
 
 def test_inverse_of_identity_blocks():

@@ -6,16 +6,20 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, rank_test_elements, scanned_stabilizer_symmetrizer
+from conftest import module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer
 from symcurv import (
+    BlockMatrixImage,
     GroupRingElement,
     Permutation,
     curvature_tableau,
     hook_dimension,
+    inverse_fourier,
     partitions_of,
+    projector_rank,
     stabilizer_symmetrizer,
     standard_tableaux,
     symmetric_group,
+    weyl_dimension,
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
@@ -189,16 +193,34 @@ def test_permutation_module_rank_examples():
     signed = stabilizer_symmetrizer(4, set(), signed=True)
     for content in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]:
         words = factorial(4) // prod(map(factorial, content))
-        assert one.permutation_module_rank(content) == words
-        assert total.permutation_module_rank(content) == 1
-        assert signed.permutation_module_rank(content) == (content == (1, 1, 1, 1))
+        assert module_rank(one, content) == words
+        assert module_rank(total, content) == 1
+        assert module_rank(signed, content) == (content == (1, 1, 1, 1))
     # zero counts and letter order do not change the module
     y = young_symmetrizer(standard_tableaux((2, 2))[1])
-    assert y.permutation_module_rank((0, 1, 2, 0, 1)) == y.permutation_module_rank((2, 1, 1))
-    assert GroupRingElement.identity(1).permutation_module_rank((1,)) == 1
+    assert module_rank(y, (0, 1, 2, 0, 1)) == module_rank(y, (2, 1, 1))
+    assert module_rank(GroupRingElement.identity(1), (1,)) == 1
     for content in [(2, 1), (1, 1, 1, 1, 1), (4, -1, 1)]:
         with pytest.raises(ValueError):
-            one.permutation_module_rank(content)
+            module_rank(one, content)
+
+
+def test_right_ideal_rank_of_dense_elements_with_known_block_ranks():
+    # inverse_fourier of 0/1 diagonal blocks: a dense element whose block ranks
+    # are the counts of ones
+    for degree in (5, 6):
+        rng = random.Random(40 + degree)
+        shapes = partitions_of(degree)
+        diagonals = [[rng.randint(0, 1) for _ in range(hook_dimension(s))] for s in shapes]
+        image = BlockMatrixImage(degree, [[[int(i == j) * d[i] for j in range(len(d))]
+                                           for i in range(len(d))] for d in diagonals])
+        a = inverse_fourier(image)
+        assert a.support_size() > factorial(degree) // 2
+        ranks = [sum(d) for d in diagonals]
+        assert a.right_ideal_rank() == sum(hook_dimension(s) * k for s, k in zip(shapes, ranks))
+        for dim in range(1, degree + 2):
+            assert projector_rank(a, dim) == sum(weyl_dimension(s, dim) * k
+                                                 for s, k in zip(shapes, ranks) if len(s) <= dim)
 
 
 def test_scalar_multiplication_and_negation():

@@ -1,10 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, perm, prod
 
 import pytest
 
 from conftest import (
+    module_rank,
     random_alternating2,
     random_element,
     random_frame,
@@ -26,6 +29,7 @@ from symcurv import (
     generator_span_rank,
     is_acdc,
     is_algebraic_curvature,
+    partitions_of,
     projector_rank,
     symmetric_basis,
     symmetric_order3_basis,
@@ -373,11 +377,13 @@ def test_projector_rank_order4_class_at_n2():
     assert projector_rank(ystar, 2) == weyl_dimension((2, 2), 2) == 1
 
 
-def test_projector_rank_refuses_widest_weight_space_over_cap():
-    # at dim >= 7 the weight space of seven distinct letters has 7! = 5040 words
-    with pytest.raises(ValueError, match="rank cap is 4096"):
-        projector_rank(GroupRingElement.zero(7), 7)
-    assert projector_rank(GroupRingElement.zero(8), 4) == 0  # widest: 8!/2^4 = 2520
+def test_projector_rank_refuses_transform_work_over_bound():
+    # zero has a one-word descent tree, so the widest weight spaces cost nothing
+    assert projector_rank(GroupRingElement.zero(7), 7) == 0
+    assert projector_rank(GroupRingElement.zero(8), 4) == 0
+    # a dense degree-8 element: 8! words times Σ f_λ² = 1430 over the shapes of at most 2 rows
+    with pytest.raises(ValueError, match="transform work"):
+        projector_rank(random_element(random.Random(88), 8), 2)
 
 
 def test_generator_span_rank_empty():
@@ -618,9 +624,33 @@ def test_projector_rank_matches_dense_elimination(degree, dim):
     assert len(set(ranks)) > 1
 
 
-@pytest.mark.parametrize("u", [0, 1, 2, 3])
+@pytest.mark.parametrize("u", [0, 1, 2, 3, 4])
 def test_projector_rank_of_curvature_class_is_weyl_dimension(u):
-    # every dim up to 6 fits the cap; u = 2, n = 4 (126) was refused by the dense route
+    # u = 2, n = 4 (126) was refused by the dense route, u = 4 at n >= 5 by the weight-space cap
     ystar = curvature_symmetrizer_star(u)
-    for dim in range(1, 7):
+    for dim in (1, 2, 5, 10) if u == 4 else range(1, 7):
         assert projector_rank(ystar, dim) == weyl_dimension((u + 2, 2), dim)
+
+
+def test_right_ideal_rank_of_degree8_curvature_class():
+    # y* generates one copy of the (6 2) block: f^(6 2) = 20
+    assert curvature_symmetrizer_star(4).right_ideal_rank() == 20
+
+
+def weight_space_projector_rank(a, dim, module_ranks):
+    """Σ over λ with at most dim parts of (weight spaces of content λ) · rank on M^λ."""
+    return sum(perm(dim, len(shape)) // prod(map(factorial, Counter(shape).values())) * k
+               for shape, k in module_ranks.items() if len(shape) <= dim)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_block_ranks_match_weight_space_elimination(degree):
+    # a full-rank element costs the oracle seconds on the 720 words of degree 6
+    ranks = []
+    for a in rank_test_elements(random.Random(200 + degree), degree, degree < 6):
+        module_ranks = {shape: module_rank(a, shape) for shape in partitions_of(degree)}
+        assert a.right_ideal_rank() == module_ranks[(1,) * degree]
+        for dim in range(1, degree + 2):
+            assert projector_rank(a, dim) == weight_space_projector_rank(a, dim, module_ranks)
+        ranks.append(module_ranks[(1,) * degree])
+    assert len(set(ranks)) > 1
