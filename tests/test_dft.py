@@ -25,8 +25,8 @@ from symcurv import (
 )
 from symcurv.dft import MAX_TRANSFORM_WORK, _generators, _specht_matrix
 from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
-from symcurv.tensor import curvature_symmetrizer_star
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
+from symcurv.tensor import curvature_symmetrizer_star
 
 
 def expected_xi(nu):

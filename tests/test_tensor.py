@@ -378,7 +378,7 @@ def test_projector_rank_order4_class_at_n2():
 
 
 def test_projector_rank_refuses_transform_work_over_bound():
-    # zero has a one-word descent tree, so the widest weight spaces cost nothing
+    # zero's descent tree is the identity alone, so every dim is cheap
     assert projector_rank(GroupRingElement.zero(7), 7) == 0
     assert projector_rank(GroupRingElement.zero(8), 4) == 0
     # a dense degree-8 element: 8! words times Σ f_λ² = 1430 over the shapes of at most 2 rows
@@ -626,7 +626,7 @@ def test_projector_rank_matches_dense_elimination(degree, dim):
 
 @pytest.mark.parametrize("u", [0, 1, 2, 3, 4])
 def test_projector_rank_of_curvature_class_is_weyl_dimension(u):
-    # u = 2, n = 4 (126) was refused by the dense route, u = 4 at n >= 5 by the weight-space cap
+    # degree 8 is the costliest class, so u = 4 samples four dims, n >= 5 among them
     ystar = curvature_symmetrizer_star(u)
     for dim in (1, 2, 5, 10) if u == 4 else range(1, 7):
         assert projector_rank(ystar, dim) == weyl_dimension((u + 2, 2), dim)
