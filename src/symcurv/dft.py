@@ -188,14 +188,14 @@ def _descent_tree(words: Iterable[Word]) -> Tree:
     return children
 
 
-def _walk(parts: Partition, children: Tree) -> Iterator[tuple[Word, Columns]]:
+def _walk(parts: Partition, f: int, children: Tree) -> Iterator[tuple[Word, Columns]]:
     """(word, columns of D(word)) over the identity and a descent tree, depth first.
 
-    A child's matrix is its parent's times one generator, computed when the
-    child is reached, so only the matrices on the current path are alive.
+    f is the shape's hook dimension. A child's matrix is its parent's times
+    one generator, computed when the child is reached, so only the matrices
+    on the current path are alive.
     """
     gens = _generators(parts)
-    f = hook_dimension(parts)
     identity = tuple(tuple(int(i == j) for i in range(f)) for j in range(f))
     stack = [(tuple(range(1, sum(parts) + 1)), identity, None)]
     while stack:
@@ -211,7 +211,7 @@ def natural_rep_matrix(parts: Sequence[int], p: Permutation) -> Matrix:
     parts = _checked_shape(parts)
     if sum(parts) != p.degree:
         raise ValueError(f"shape weight {sum(parts)} != degree {p.degree}")
-    chain = dict(_walk(parts, _descent_tree([p.images])))
+    chain = dict(_walk(parts, hook_dimension(parts), _descent_tree([p.images])))
     return tuple(zip(*chain[p.images]))
 
 
@@ -300,7 +300,7 @@ def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[li
     out = []
     for shape, f in zip(shapes, sizes):
         acc = [[0] * f for _ in range(f)]
-        for w, m in _walk(shape, tree):
+        for w, m in _walk(shape, f, tree):
             n = numerators.get(w)
             if n:
                 for j, column in enumerate(m):
@@ -349,7 +349,7 @@ def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
         d = len(block)
         rows = [[int(d * den * x) for x in row] for row in block]
         # trace(D(q) B) is column j of D(q) dotted with row j of B, summed over j
-        for w, m in _walk(shape, tree):
+        for w, m in _walk(shape, d, tree):
             totals[inverse[rank[w]]] += sum(u * v for column, row in zip(m, rows)
                                             for u, v in zip(column, row))
     size = den * factorial(degree)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
@@ -106,20 +106,21 @@ def _sorted_on(word: tuple[int, ...], blocks: list[tuple[list[int], int]]) -> bo
     return all(word[i] <= word[j] for block, _ in blocks for i, j in zip(block, block[1:]))
 
 
-def _times_block_sum(coeffs: list[Rational], degree: int, block: Sequence[int],
-                     sign: int) -> list[Rational]:
-    """coeffs * Σ_{g in S_block} χ(g)·g as the chain Π_j (1 + sign·L_j).
+def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int,
+                     swap: Callable[[int, int], Sequence[int]]) -> Sequence[Rational]:
+    """Σ_{g in S_block} χ(g)·g on coeffs as the chain Π_j (1 + sign·L_j).
 
     χ is the sign character when sign = -1 and trivial when sign = 1.
     L_j = Σ_{i<j in block} (i j) is the Jucys-Murphy element; block holds
-    0-based positions. Right multiplication by a transposition swaps two
-    positions of every word, one scatter through its index table.
+    0-based positions. swap(i, j) is the scatter table of (i+1 j+1):
+    _swap_table for a right factor of a group-ring element, the slot table
+    for a tensor. The L_j commute, so the chain's order does not matter.
     """
     for n, j in enumerate(block[1:], start=1):
         support = [(k, c if sign > 0 else -c) for k, c in enumerate(coeffs) if c]
         out = list(coeffs)
         for i in block[:n]:
-            table = _swap_table(degree, i, j)
+            table = swap(i, j)
             for k, c in support:
                 out[table[k]] += c
         coeffs = out
@@ -134,7 +135,9 @@ class GroupRingElement:
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
         _require_degree(degree)
         size = factorial(degree)
-        coeffs = tuple(as_rational(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if not all(type(c) is int for c in coeffs):
+            coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != size:
             raise ValueError(f"need {size} coefficients for degree {degree}, got {len(coeffs)}")
         object.__setattr__(self, "degree", degree)
@@ -226,8 +229,9 @@ class GroupRingElement:
                 compose = _positions([v - 1 for v in q])  # p -> p*q
                 for p, cp in mine:
                     out[rank[compose(p)]] += cp * cq
+        swap = partial(_swap_table, self.degree)
         for block, sign in blocks:
-            out = _times_block_sum(out, self.degree, block, sign)
+            out = _times_block_sum(out, block, sign, swap)
         return GroupRingElement(self.degree, out)
 
     def times_group_sum(self, block: Iterable[int], signed: bool = False) -> "GroupRingElement":
@@ -240,8 +244,8 @@ class GroupRingElement:
         block = [int(v) for v in block]
         if any(not 1 <= v <= self.degree for v in block) or len(set(block)) != len(block):
             raise ValueError(f"block must list distinct positions in 1..{self.degree}: {block}")
-        coeffs = _times_block_sum(list(self.coeffs), self.degree, sorted(v - 1 for v in block),
-                                  -1 if signed else 1)
+        coeffs = _times_block_sum(self.coeffs, sorted(v - 1 for v in block), -1 if signed else 1,
+                                  partial(_swap_table, self.degree))
         return GroupRingElement(self.degree, coeffs)
 
     def star(self) -> "GroupRingElement":

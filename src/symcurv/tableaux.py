@@ -58,19 +58,20 @@ def conjugate_partition(parts: Sequence[int]) -> Partition:
 
 
 def hook_lengths(parts: Sequence[int]) -> list[list[int]]:
-    parts = validate_partition(parts)
-    conj = conjugate_partition(parts)
-    return [
-        [(parts[i] - j) + (conj[j] - i) - 1 for j in range(parts[i])]
-        for i in range(len(parts))
-    ]
+    return _hook_lengths(validate_partition(parts))
+
+
+def _hook_lengths(parts: Partition) -> list[list[int]]:
+    """Hook lengths of a partition that is already validated: arm + leg + 1 per cell."""
+    return [[row - j + sum(1 for v in parts[i + 1:] if v > j) for j in range(row)]
+            for i, row in enumerate(parts)]
 
 
 def hook_dimension(parts: Sequence[int]) -> int:
     """Number of standard tableaux of the shape: r! over the hook product."""
     parts = validate_partition(parts)
     product = 1
-    for row in hook_lengths(parts):
+    for row in _hook_lengths(parts):
         for h in row:
             product *= h
     return factorial(sum(parts)) // product
@@ -86,7 +87,7 @@ def weyl_dimension(parts: Sequence[int], dim: int) -> int:
     if len(parts) > dim:
         return 0
     value = Fraction(1)
-    for i, row in enumerate(hook_lengths(parts)):
+    for i, row in enumerate(_hook_lengths(parts)):
         for j, h in enumerate(row):
             value *= Fraction(dim + j - i, h)
     if value.denominator != 1:

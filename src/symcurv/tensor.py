@@ -7,6 +7,10 @@ a tuple of vectors into a group-ring element. Under these conventions
 (a*b)T = a(bT) and (aT)_b = T_b * star(a); a regression test pins the
 composition order.
 
+On a tensor at least half nonzero, a acts the way it multiplies: its
+right-stabilizer group sums first, as Jucys-Murphy chains, then the rest
+of its terms one by one (apply_operator).
+
 Public indices are 1-based, matching the rest of the package.
 """
 
@@ -21,7 +25,8 @@ from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dft import block_ranks
-from .group_ring import MAX_DEGREE, GroupRingElement
+from .group_ring import (MAX_DEGREE, GroupRingElement, _sorted_on, _stabilizer_blocks, _swap,
+                         _times_block_sum)
 from .linalg import rank_of_rows
 from .permutation import Permutation, symmetric_group
 from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
@@ -53,7 +58,9 @@ class DenseTensor:
         if order < 1 or dim < 1:
             raise ValueError(f"order and dim must be positive, got {order}, {dim}")
         size = dim ** order
-        coords = tuple(as_rational(c) for c in coords)
+        coords = tuple(coords)
+        if not all(type(c) is int for c in coords):
+            coords = tuple(map(as_rational, coords))
         if len(coords) != size:
             raise ValueError(f"need {size} coordinates, got {len(coords)}")
         object.__setattr__(self, "order", order)
@@ -213,12 +220,12 @@ def _all_indices(order: int, dim: int) -> Iterator[tuple[int, ...]]:
     return _cartesian(range(1, dim + 1), repeat=order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ...]:
     """Scatter table of the slot permutation p: lookup[flat(J)] = flat(I).
 
     I is the index with I[p(k)] = J[k] for every slot k, so that
-    (pT)[I] = T[J].
+    (pT)[I] = T[J]. The key comes from the input, so the cache is bounded.
     """
     flats = [0]  # J runs in coordinate order; slot k of J lands in slot p(k) of I
     for image in images:
@@ -230,18 +237,35 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
 
-    Scatters every nonzero coordinate of T through the slot table of each
-    term, so the work is (terms of a) x (nonzeros of T).
+    On a tensor with at least half its coordinates nonzero, a is split as
+    in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over its right stabilizer
+    blocks, and since (a*b)T = a(bT) each group sum acts first as its
+    Jucys-Murphy chain, one transposition scatter per term. Every term of
+    a0 then scatters the nonzeros of the result through its slot table.
+    A sparser tensor skips the split, which would only grow its support,
+    so its work is (terms of a) x (nonzeros of T).
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
-    out = [0] * len(t.coords)
-    support = [(j, v) for j, v in enumerate(t.coords) if v]
-    for p, c in a.terms():
-        lookup = _slot_lookup(p.images, t.order, t.dim)
-        for j, v in support:
-            out[lookup[j]] += c * v
-    return DenseTensor(t.order, t.dim, out)
+    order, dim, coords = t.order, t.dim, t.coords
+    terms = {p.images: c for p, c in a.terms()}
+    dense = 2 * sum(1 for v in coords if v) >= len(coords)
+    blocks = _stabilizer_blocks(terms) if dense else []
+    identity = tuple(range(1, order + 1))
+
+    def swap(i: int, j: int) -> tuple[int, ...]:
+        return _slot_lookup(_swap(identity, i, j), order, dim)
+
+    for block, sign in blocks:
+        coords = _times_block_sum(coords, block, sign, swap)
+    out = [0] * len(coords)
+    support = [(j, v) for j, v in enumerate(coords) if v]
+    for images, c in terms.items():
+        if _sorted_on(images, blocks):
+            lookup = _slot_lookup(images, order, dim)
+            for j, v in support:
+                out[lookup[j]] += c * v
+    return DenseTensor(order, dim, out)
 
 
 def t_b(t: DenseTensor, b: Iterable[Iterable[Rational]]) -> GroupRingElement:

@@ -22,6 +22,7 @@ from symcurv.dft import _descent_tree, _walk
 from symcurv.group_ring import _positions, _sorted_on, _stabilizer_blocks
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.rationals import as_rational
+from symcurv.tensor import _slot_lookup
 
 
 def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
@@ -54,6 +55,21 @@ def rank_test_elements(rng, degree: int, full_rank_too: bool = True) -> list[Gro
 
 def random_tensor(rng, order: int, dim: int, span: int = 3) -> DenseTensor:
     return DenseTensor(order, dim, [rng.randint(-span, span) for _ in range(dim ** order)])
+
+
+def direct_apply(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
+    """a acting on T by scattering every nonzero of T through each term's slot table.
+
+    The unfactored action that apply_operator's stabilizer chains replaced,
+    kept as its oracle.
+    """
+    out = [0] * len(t.coords)
+    support = [(j, v) for j, v in enumerate(t.coords) if v]
+    for p, c in a.terms():
+        lookup = _slot_lookup(p.images, t.order, t.dim)
+        for j, v in support:
+            out[lookup[j]] += c * v
+    return DenseTensor(t.order, t.dim, out)
 
 
 def random_symmetric2(rng, dim: int, span: int = 4) -> DenseTensor:
@@ -253,7 +269,7 @@ def descent_transform(a):
     for shape in partitions_of(a.degree):
         f = hook_dimension(shape)
         acc = [[0] * f for _ in range(f)]
-        for w, m in _walk(shape, tree):
+        for w, m in _walk(shape, f, tree):
             n = numerators.get(w)
             if n:
                 for j, column in enumerate(m):

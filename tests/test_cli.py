@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element, random_symmetric2, random_symmetric3, random_tensor
-from symcurv import DenseTensor, GroupRingElement, gamma, gamma_hat, weyl_dimension
+from symcurv import DenseTensor, GroupRingElement, apply_operator, gamma, gamma_hat, weyl_dimension
 from symcurv.cli import main
+from symcurv.tensor import curvature_symmetrizer_star
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +222,29 @@ def test_check_tensor_pass_and_fail(tmp_path, capsys):
     wrong_order.write_text(DenseTensor.zero(3, 2).to_json())
     code, _, err = run_cli(capsys, "check-tensor", str(wrong_order))
     assert code == 2
+
+
+# `check-tensor --json` on a dense order-5 dim-4 tensor T (seed 31) and on y*·T, byte for byte
+CHECK_TENSOR_ACDC = (
+    '{"kind": "algebraic covariant derivative curvature tensor", "passed": %s, "checks": '
+    '{"skew_middle_pair": %s, "pair_exchange": %s, "first_bianchi": %s, "second_bianchi": %s, '
+    '"symmetrizer_fixed_point": %s}}\n'
+)
+# sha256 of y*·T's JSON wire form
+YSTAR_T_SHA256 = "5adad54ceb7410e926814cc1abaf2795acb46c50747a3bece557caed77083620"
+
+
+@pytest.mark.parametrize("project", [True, False], ids=["ystar_t", "t"])
+def test_check_tensor_json_on_dense_order5_is_pinned(tmp_path, capsys, project):
+    t = random_tensor(random.Random(31), 5, 4)
+    if project:
+        t = apply_operator(curvature_symmetrizer_star(1), t)
+        assert hashlib.sha256(t.to_json().encode()).hexdigest() == YSTAR_T_SHA256
+    path = tmp_path / "t.json"
+    path.write_text(t.to_json())
+    code, out, _ = run_cli(capsys, "check-tensor", "--json", str(path))
+    assert code == (0 if project else 1)
+    assert out == CHECK_TENSOR_ACDC % ((json.dumps(project),) * 6)
 
 
 def test_check_tensor_stdin(capsys, monkeypatch):

@@ -90,9 +90,16 @@ def test_ring_axioms_s4(seed):
     assert (a + b) * c == a * c + b * c
 
 
-def test_coefficients_stay_exact():
-    with pytest.raises(TypeError):
-        GroupRingElement(2, [0.5, 0])
+@pytest.mark.parametrize("position", [0, 3, 5], ids=["first", "after_ints", "last"])
+def test_coefficients_stay_exact(position):
+    coeffs = [1] * 6
+    for bad in (True, 0.5, "1", None):
+        coeffs[position] = bad
+        with pytest.raises(TypeError):
+            GroupRingElement(3, coeffs)
+    coeffs[position] = Fraction(-6, 3)
+    a = GroupRingElement(3, coeffs)
+    assert type(a.coeffs[position]) is int and a.coeffs[position] == -2
 
 
 def test_essential_idempotency_curvature_tableaux():

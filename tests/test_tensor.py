@@ -7,6 +7,7 @@ from math import factorial, perm, prod
 import pytest
 
 from conftest import (
+    direct_apply,
     module_rank,
     random_alternating2,
     random_element,
@@ -31,14 +32,24 @@ from symcurv import (
     is_algebraic_curvature,
     partitions_of,
     projector_rank,
+    standard_tableaux,
     symmetric_basis,
+    symmetric_group,
     symmetric_order3_basis,
     t_b,
     tensor_product,
     weyl_dimension,
+    young_symmetrizer,
 )
 from symcurv.linalg import RowBasis
-from symcurv.tensor import curvature_symmetrizer_star, frame
+from symcurv.tensor import (
+    _curvature_annihilators,
+    _slot_lookup,
+    _slot_sum,
+    curvature_symmetrizer_star,
+    frame,
+)
+from symcurv.verify import class_idempotent, sigma_element
 
 
 def basis_elem(images):
@@ -58,9 +69,16 @@ def test_indexing_is_one_based():
         t[(1, 2, 1)]
 
 
-def test_floats_rejected():
-    with pytest.raises(TypeError):
-        DenseTensor(1, 2, [0.5, 1])
+@pytest.mark.parametrize("position", [0, 5, 7], ids=["first", "after_ints", "last"])
+def test_floats_rejected(position):
+    coords = [1] * 8
+    for bad in (True, 0.5, "1", None):
+        coords[position] = bad
+        with pytest.raises(TypeError):
+            DenseTensor(3, 2, coords)
+    coords[position] = Fraction(-6, 3)
+    t = DenseTensor(3, 2, coords)
+    assert type(t.coords[position]) is int and t.coords[position] == -2
 
 
 def test_json_round_trip():
@@ -120,6 +138,81 @@ def test_single_permutation_action_on_basis_tensor():
         if (idx[p(1) - 1], idx[p(2) - 1], idx[p(3) - 1]) == (1, 2, 2)
     }
     assert moved == DenseTensor.from_entries(3, 2, expected)
+
+
+def _action_operators(order):
+    """Every operator family the package applies to order-r tensors, and a few more."""
+    third = Fraction(1, 3)
+    ops = [GroupRingElement.zero(order)]
+    for shape in partitions_of(order):
+        for tableau in standard_tableaux(shape):
+            y = young_symmetrizer(tableau)
+            ops += [y, y.star()]
+    if order >= 4:
+        ystar = curvature_symmetrizer_star(order - 4)
+        ops += [ystar * ystar, *_curvature_annihilators(order)]
+    if order == 3:
+        ops += [class_idempotent(nu) for nu in (Fraction(1, 2), Fraction(-2, 3), None)]
+    if order == 4:
+        ops += [_slot_sum(4, ("(2 4 3)", third), ("(2 3)", -third)),
+                _slot_sum(4, ("()", 2 * third), ("(2 3)", third), ("(2 4 3)", -third))]
+    if order == 5:
+        ops += [_slot_sum(5, ("(2 4 3)", 4), ("(1 2 4 3)", -4), ("(1 2 3)", 4), ("(2 3)", -4))]
+        cases = ((0, 1, True), (Fraction(1, 2), -1, False), (None, 1, False),
+                 (Fraction(-2, 3), -1, True))
+        ops += [sigma_element(nu, eps, u_first) for nu, eps, u_first in cases]
+    rng = random.Random(order)
+    group = symmetric_group(order)
+    for _ in range(3):
+        ops.append(GroupRingElement.from_terms(
+            order, [(rng.choice(group), rng.randint(-2, 2)) for _ in range(3)]))
+    return ops
+
+
+def _action_tensors(order, dim):
+    """Dense, half-dense, sparse, single-entry and zero tensors of one shape."""
+    rng = random.Random(10 * order + dim)
+    size = dim ** order
+    nonzero = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(size)]
+    place = rng.sample(range(size), size)
+
+    def keep(count):
+        kept = set(place[:count])
+        return DenseTensor(order, dim, [v if k in kept else 0 for k, v in enumerate(nonzero)])
+
+    half = (size + 1) // 2  # the fewest nonzeros that take the factored path
+    return [
+        DenseTensor(order, dim, nonzero),
+        DenseTensor(order, dim, [Fraction(v, rng.choice((1, 2, 3))) for v in nonzero]),
+        keep(half),
+        keep(half - 1),
+        keep(max(1, size // 10)),
+        DenseTensor.basis(order, dim, [rng.randint(1, dim) for _ in range(order)]),
+        DenseTensor.zero(order, dim),
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_apply_operator_matches_direct_scatter(order):
+    every_op = _action_operators(order)
+    for dim in (1, 2, 3, 4):
+        ops, tensors = every_op, _action_tensors(order, dim)
+        if (order, dim) == (5, 4):
+            # the oracle's Fraction sums over 1,024 coordinates take tens of
+            # seconds, so Fraction tensors and coefficients are compared at dims 1-3
+            ops = [a for a in ops if all(type(c) is int for c in a.coeffs)]
+            del tensors[1]
+        for t in tensors:
+            for a in ops:
+                assert _typed(apply_operator(a, t)) == _typed(direct_apply(a, t))
+
+
+def test_slot_lookup_cache_is_bounded():
+    # one table per (permutation, order, dim): 130 dims at order 1 are 130 keys
+    for dim in range(1, 131):
+        t = DenseTensor.basis(1, dim, (dim,))
+        assert apply_operator(GroupRingElement.identity(1), t) == t
+    assert _slot_lookup.cache_info().currsize <= 128
 
 
 # -- frame evaluation ---------------------------------------------------------
