@@ -36,7 +36,8 @@ from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .group_ring import MAX_DEGREE, GroupRingElement, _inverse_table, _sorted_on, _stabilizer_blocks
+from .group_ring import (MAX_DEGREE, GroupRingElement, _inverse_table, _numerators, _sorted_on,
+                         _stabilizer_blocks)
 from .linalg import Matrix
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
@@ -288,10 +289,9 @@ def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[li
     s_{j-1}···s_i···s_{j-1}. Refuses before any matrix is built when the
     tree's words times Σ f_λ² exceed MAX_TRANSFORM_WORK.
     """
-    terms = {p.images: c for p, c in a.terms()}
-    blocks = _stabilizer_blocks(terms)
-    den = lcm(*(c.denominator for c in terms.values()))  # a's coefficients are ± a0's
-    numerators = {w: int(c * den) for w, c in terms.items() if _sorted_on(w, blocks)}
+    den, numerators = _numerators(a)
+    blocks = _stabilizer_blocks(numerators)
+    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
     tree = _descent_tree(numerators)
     sizes = [hook_dimension(shape) for shape in shapes]
     work = (1 + sum(map(len, tree.values()))) * sum(f * f for f in sizes)

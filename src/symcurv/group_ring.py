@@ -5,8 +5,10 @@ Elements are dense coefficient vectors indexed by the canonical
 group sum of b's right stabilizer among the Young subgroups, then
 convolves a with what is left and multiplies by that group sum as a
 chain of Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974;
-G. Murphy, J. Algebra 69, 1981). Everything is an exact rational;
-floats never enter. Right-ideal ranks are read off Fourier blocks.
+G. Murphy, J. Algebra 69, 1981). Both steps run on integer numerators
+over each factor's common denominator, and each nonzero of the product
+is divided once. Everything is an exact rational; floats never enter.
+Right-ideal ranks are read off Fourier blocks.
 
 Elements are immutable and all caches are write-once, so values can be
 shared freely across threads.
@@ -17,12 +19,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from itertools import compress
+from math import factorial, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
-from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
+from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
 MAX_DEGREE = 8
@@ -127,6 +130,16 @@ def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int
     return coeffs
 
 
+def _numerators(a: "GroupRingElement") -> tuple[int, dict[tuple[int, ...], int]]:
+    """(den, numerators): a's coefficients are numerators[w] / den over its nonzero words w.
+
+    den is the lcm of the coefficients' denominators, so the numerators are ints.
+    """
+    terms = list(compress(zip(_rank_table(a.degree), a.coeffs), a.coeffs))
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in terms}
+
+
 class GroupRingElement:
     """An element of Q[S_r] with dense exact-rational coefficients."""
 
@@ -135,9 +148,7 @@ class GroupRingElement:
     def __init__(self, degree: int, coeffs: Sequence[Rational]):
         _require_degree(degree)
         size = factorial(degree)
-        coeffs = tuple(coeffs)
-        if not all(type(c) is int for c in coeffs):
-            coeffs = tuple(map(as_rational, coeffs))
+        coeffs = as_rationals(coeffs)
         if len(coeffs) != size:
             raise ValueError(f"need {size} coefficients for degree {degree}, got {len(coeffs)}")
         object.__setattr__(self, "degree", degree)
@@ -213,25 +224,30 @@ class GroupRingElement:
         With blocks B and signs χ from b's right stabilizer, b = b0 * Π_B
         Σ_{S_B} χ(g)·g, where b0 keeps the terms whose word increases on
         every block; a*b is the convolution a*b0 times those group sums.
+        Both run on the factors' integer numerators, and each nonzero of
+        the result is divided once by the two common denominators.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_degree(other)
-        theirs = {q.images: c for q, c in other.terms()}
+        den_a, mine = _numerators(self)
+        den_b, theirs = _numerators(other)
         blocks = _stabilizer_blocks(theirs)
-        mine = [(p.images, c) for p, c in self.terms()]
         rank = _rank_table(self.degree)
         out: list[Rational] = [0] * len(rank)
-        for q, cq in theirs.items():
-            if _sorted_on(q, blocks):
+        for q, y in theirs.items():
+            if not blocks or _sorted_on(q, blocks):
                 compose = _positions([v - 1 for v in q])  # p -> p*q
-                for p, cp in mine:
-                    out[rank[compose(p)]] += cp * cq
+                for p, x in mine.items():
+                    out[rank[compose(p)]] += x * y
         swap = partial(_swap_table, self.degree)
         for block, sign in blocks:
             out = _times_block_sum(out, block, sign, swap)
+        den = den_a * den_b
+        if den != 1:
+            out = [Fraction(n, den) if n else 0 for n in out]
         return GroupRingElement(self.degree, out)
 
     def times_group_sum(self, block: Iterable[int], signed: bool = False) -> "GroupRingElement":
@@ -275,7 +291,7 @@ class GroupRingElement:
         return sum(1 for c in self.coeffs if c)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,8 +1,8 @@
 """Littlewood-Richardson products of symmetric-group irreducibles.
 
 Coefficients are counted combinatorially: column-strict skew fillings
-whose reverse reading word is a lattice word. Sizes stay at six boxes or
-fewer here, so exhaustive backtracking is instantaneous.
+whose reverse reading word is a lattice word. Products of weight above
+the degree cap (8) are refused, so exhaustive backtracking stays fast.
 
 An independent representation-theoretic route (multiplicities of the
 left ideal generated by embedded product symmetrizers, read off Fourier
@@ -18,6 +18,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .dft import fourier_transform
+from .group_ring import MAX_DEGREE
 from .tableaux import (
     Partition,
     format_partition,
@@ -35,11 +36,25 @@ def _contains(outer: Partition, inner: Partition) -> bool:
     return all(o >= i for o, i in zip(outer, inner))
 
 
+def _require_weight(left: Partition, right: Partition) -> int:
+    """|left| + |right|, refused above the degree cap before any partition is scanned.
+
+    The cap is the weight up to which the Fourier cross-check can confirm a product.
+    """
+    weight = sum(left) + sum(right)
+    if weight > MAX_DEGREE:
+        raise ValueError(
+            f"|{format_partition(left)}| + |{format_partition(right)}| = {weight} "
+            f"exceeds the degree cap {MAX_DEGREE}")
+    return weight
+
+
 def lr_coefficient(left: Sequence[int], right: Sequence[int], target: Sequence[int]) -> int:
     """Multiplicity of target in the product of left and right."""
     left = validate_partition(left)
     right = validate_partition(right)
     target = validate_partition(target)
+    _require_weight(left, right)
     if sum(target) != sum(left) + sum(right):
         raise ValueError(
             f"weight mismatch: |{format_partition(target)}| != "
@@ -139,9 +154,8 @@ def lr_product(left: Sequence[int], right: Sequence[int]) -> LRDecomposition:
     """Full decomposition of the product of two irreducibles."""
     left = validate_partition(left)
     right = validate_partition(right)
-    r = sum(left) + sum(right)
     terms = {}
-    for target in partitions_of(r):
+    for target in partitions_of(_require_weight(left, right)):
         c = lr_coefficient(left, right, target)
         if c:
             terms[target] = c

@@ -2,13 +2,15 @@
 
 Scalars are plain ints or ``fractions.Fraction``; a Fraction with
 denominator 1 is collapsed to int so equal values have equal
-representations. Floats are rejected everywhere.
+representations. Floats are rejected everywhere. Constructors take
+their scalars through as_rationals, which costs one C-speed type scan
+when every value is already an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -22,6 +24,18 @@ def as_rational(value) -> Rational:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def as_rationals(values: Iterable) -> tuple[Rational, ...]:
+    """The values as a tuple of canonical scalars.
+
+    All-int input, the common case, costs one type scan at C speed; any
+    other input is normalized entry by entry, so it raises as as_rational does.
+    """
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
+    return tuple(map(as_rational, values))
 
 
 def parse_rational(text: str) -> Rational:

@@ -9,7 +9,11 @@ composition order.
 
 On a tensor at least half nonzero, a acts the way it multiplies: its
 right-stabilizer group sums first, as Jucys-Murphy chains, then the rest
-of its terms one by one (apply_operator).
+of its terms one by one (apply_operator). On a sparser tensor each term
+of a scatters only the tensor's nonzeros, and tensor_product writes only
+products of nonzeros: on sparse tensors the interpreted loops grow with
+the support, and only C-speed passes (allocation, the nonzero filter,
+the constructor's type scan) touch all dim ** order coordinates.
 
 Public indices are 1-based, matching the rest of the package.
 """
@@ -20,6 +24,7 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from itertools import permutations as _words
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -28,8 +33,8 @@ from .dft import block_ranks
 from .group_ring import (MAX_DEGREE, GroupRingElement, _sorted_on, _stabilizer_blocks, _swap,
                          _times_block_sum)
 from .linalg import rank_of_rows
-from .permutation import Permutation, symmetric_group
-from .rationals import Rational, as_rational, format_rational, wire_json, wire_scalar
+from .permutation import Permutation, _rank_table, symmetric_group
+from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 from .tableaux import curvature_tableau, partitions_of, weyl_dimension, young_symmetrizer
 
 # Dense coordinate count a tensor read from JSON may ask for.
@@ -58,9 +63,7 @@ class DenseTensor:
         if order < 1 or dim < 1:
             raise ValueError(f"order and dim must be positive, got {order}, {dim}")
         size = dim ** order
-        coords = tuple(coords)
-        if not all(type(c) is int for c in coords):
-            coords = tuple(map(as_rational, coords))
+        coords = as_rationals(coords)
         if len(coords) != size:
             raise ValueError(f"need {size} coordinates, got {len(coords)}")
         object.__setattr__(self, "order", order)
@@ -132,7 +135,7 @@ class DenseTensor:
             )
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         return (
@@ -243,28 +246,29 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     Jucys-Murphy chain, one transposition scatter per term. Every term of
     a0 then scatters the nonzeros of the result through its slot table.
     A sparser tensor skips the split, which would only grow its support,
-    so its work is (terms of a) x (nonzeros of T).
+    so its work is (terms of a) x (nonzeros of T), plus one pass over
+    T's coordinates to find them.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
     order, dim, coords = t.order, t.dim, t.coords
-    terms = {p.images: c for p, c in a.terms()}
-    dense = 2 * sum(1 for v in coords if v) >= len(coords)
-    blocks = _stabilizer_blocks(terms) if dense else []
-    identity = tuple(range(1, order + 1))
+    terms = dict(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
+    blocks = _stabilizer_blocks(terms) if 2 * coords.count(0) <= len(coords) else []
+    if blocks:
+        identity = tuple(range(1, order + 1))
 
-    def swap(i: int, j: int) -> tuple[int, ...]:
-        return _slot_lookup(_swap(identity, i, j), order, dim)
+        def swap(i: int, j: int) -> tuple[int, ...]:
+            return _slot_lookup(_swap(identity, i, j), order, dim)
 
-    for block, sign in blocks:
-        coords = _times_block_sum(coords, block, sign, swap)
+        for block, sign in blocks:
+            coords = _times_block_sum(coords, block, sign, swap)
+        terms = {w: c for w, c in terms.items() if _sorted_on(w, blocks)}
     out = [0] * len(coords)
-    support = [(j, v) for j, v in enumerate(coords) if v]
+    support = list(compress(enumerate(coords), coords))
     for images, c in terms.items():
-        if _sorted_on(images, blocks):
-            lookup = _slot_lookup(images, order, dim)
-            for j, v in support:
-                out[lookup[j]] += c * v
+        lookup = _slot_lookup(images, order, dim)
+        for j, v in support:
+            out[lookup[j]] += c * v
     return DenseTensor(order, dim, out)
 
 
@@ -292,14 +296,16 @@ def t_b(t: DenseTensor, b: Iterable[Iterable[Rational]]) -> GroupRingElement:
 
 
 def tensor_product(left: DenseTensor, right: DenseTensor) -> DenseTensor:
+    """(L⊗R)[I, J] = L[I]·R[J], written over the nonzeros of both factors."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
-    coords = []
-    for a in left.coords:
-        if a == 0:
-            coords.extend([0] * len(right.coords))
-        else:
-            coords.extend(a * bcoord for bcoord in right.coords)
+    width = len(right.coords)
+    coords = [0] * (len(left.coords) * width)
+    support = list(compress(enumerate(right.coords), right.coords))
+    for i, a in compress(enumerate(left.coords), left.coords):
+        base = i * width
+        for j, b in support:
+            coords[base + j] = a * b
     return DenseTensor(left.order + right.order, left.dim, coords)
 
 

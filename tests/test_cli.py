@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,18 @@ def test_lr_json_output(capsys):
         {"partition": [4, 1], "multiplicity": 1},
         {"partition": [3, 2], "multiplicity": 1},
     ]
+
+
+def test_lr_weight_above_degree_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "lr", "--left", "4,4", "--right", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: |(4 4)| + |(4)| = 12 exceeds the degree cap 8\n"
+    code, out, err = run_cli(capsys, "lr", "--left", "12,12", "--right", "12,12")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    code, out, _ = run_cli(capsys, "lr", "--left", "2,2", "--right", "2,2")
+    assert code == 0
+    assert out.startswith("(2 2)(2 2) = (4 4) + ")
 
 
 def test_xi_half_prints_f(capsys):
@@ -293,6 +306,18 @@ def test_verify_full_suite_exits_clean(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,golden", [([], "verify_paper.txt"), (["--json"], "verify_paper.json")],
+                         ids=["text", "json"])
+def test_verify_paper_output_is_pinned(capsys, argv, golden):
+    # every printed number of the claim suite, byte for byte
+    code, out, err = run_cli(capsys, "verify-paper", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_verify_only_subset(capsys):

@@ -326,6 +326,30 @@ def test_product_matches_direct_on_young_symmetrizers(weight):
             assert a * y.star() == direct_product(a, y.star())
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_product_of_fractional_factors_matches_direct(degree):
+    rng = random.Random(90 + degree)
+    ident = GroupRingElement.identity(degree)
+    swap = GroupRingElement.from_permutation(Permutation.transposition(degree, 1, 2))
+    # (1/2)(1 + s) * (1/3)(1 - s) = 0, and with 3x/2 and 2y/3 every coefficient of a*b is an int
+    pairs = [(Fraction(1, 2) * (ident + swap), Fraction(1, 3) * (ident - swap))]
+    for _ in range(4):
+        x, y = (GroupRingElement.from_terms(degree, [(p, rng.choice((-1, 1, 5))) for p in
+                                                     rng.sample(symmetric_group(degree), min(3, degree))])
+                for _ in range(2))
+        pairs.append((Fraction(3, 2) * x, Fraction(2, 3) * y))
+        pairs.append((Fraction(3, 2) * x, Fraction(2, 3) * y + Fraction(1, 6) * swap))
+    mixed = 0
+    for a, b in pairs:
+        assert any(type(c) is Fraction for c in a.coeffs)
+        assert any(type(c) is Fraction for c in b.coeffs)
+        product, expected = a * b, direct_product(a, b)
+        assert [(type(c), c) for c in product.coeffs] == [(type(c), c) for c in expected.coeffs]
+        mixed += 0 in product.coeffs and any(c and type(c) is int for c in product.coeffs)
+    assert (pairs[0][0] * pairs[0][1]).is_zero()
+    assert mixed  # some product has both a zero and a nonzero int coefficient
+
+
 def test_product_matches_direct_at_degree_7():
     rng = random.Random(7)
     for _ in range(3):

@@ -115,3 +115,20 @@ def test_group_ring_route_matches_combinatorics():
     for left in partitions_of(2):
         for right in partitions_of(3):
             assert induced_ideal_multiplicities(left, right) == lr_product(left, right).terms
+
+
+def test_products_up_to_the_degree_cap_are_accepted():
+    # weight 8, the cap: the induced dimension identity still holds
+    for left, right in [((2, 2), (2, 2)), ((4, 3), (1,)), ((1,), (7,))]:
+        decomposition = lr_product(left, right)
+        assert decomposition.check_dimensions()
+    assert lr_coefficient((2, 2), (2, 2), (4, 4)) == 1
+
+
+def test_products_above_the_degree_cap_are_refused():
+    # weight 9 and far beyond are refused before any partition is scanned
+    for left, right in [((4, 4), (1,)), ((5,), (2, 2)), ((12, 12), (12, 12))]:
+        with pytest.raises(ValueError, match="exceeds the degree cap 8"):
+            lr_product(left, right)
+    with pytest.raises(ValueError, match="exceeds the degree cap 8"):
+        lr_coefficient((4, 4), (1,), (5, 4))

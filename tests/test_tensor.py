@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     direct_apply,
+    direct_tensor_product,
     module_rank,
     random_alternating2,
     random_element,
@@ -290,6 +291,37 @@ def test_tensor_product_order_adds():
     s = DenseTensor.zero(2, 3)
     w = DenseTensor.zero(3, 3)
     assert tensor_product(s, w).order == 5
+
+
+def _product_factors(rng, order, dim):
+    """Int, Fraction and zero tensors of one shape, and a pair of Fraction
+    tensors whose entrywise products are all integral: 3v/2 times 2w/3."""
+    size = dim ** order
+    ints = [rng.randint(-3, 3) for _ in range(size)]
+    return (
+        [DenseTensor(order, dim, ints),
+         DenseTensor(order, dim, [Fraction(v, rng.choice((1, 2, 3))) for v in ints]),
+         DenseTensor.zero(order, dim)],
+        DenseTensor(order, dim, [Fraction(3 * rng.choice((-1, 1, 3)), 2) if v else 0 for v in ints]),
+        DenseTensor(order, dim, [Fraction(2 * rng.choice((-2, 1, 5)), 3) if v else 0 for v in ints]),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_tensor_product_matches_dense_loop(dim):
+    rng = random.Random(40 + dim)
+    for left_order in (1, 2, 3):
+        for right_order in (1, 2, 3):
+            left, halves, _ = _product_factors(rng, left_order, dim)
+            right, _, thirds = _product_factors(rng, right_order, dim)
+            for a in left:
+                for b in right:
+                    assert _typed(tensor_product(a, b)) == _typed(direct_tensor_product(a, b))
+            # 3v/2 * 2w/3 = vw: every entry of the product is an int
+            product = tensor_product(halves, thirds)
+            assert _typed(product) == _typed(direct_tensor_product(halves, thirds))
+            assert all(type(c) is int for c in product.coords)
+            assert any(type(c) is Fraction for c in halves.coords + thirds.coords)
 
 
 def test_tensor_product_dim_mismatch():
