@@ -389,8 +389,6 @@ class GroupRingElement:
     def from_dict(cls, data: Mapping) -> "GroupRingElement":
         data = wire_json(data, dict, "element")
         degree = wire_scalar(data["degree"], "degree", integer=True)
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
         terms = []
         for entry in wire_json(data.get("terms", []), list, "terms"):
             entry = wire_json(entry, dict, "term")

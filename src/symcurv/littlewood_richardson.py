@@ -1,8 +1,10 @@
 """Littlewood-Richardson products of symmetric-group irreducibles.
 
 Coefficients are counted combinatorially: column-strict skew fillings
-whose reverse reading word is a lattice word. Products of weight above
-the degree cap (8) are refused, so exhaustive backtracking stays fast.
+whose reverse reading word is a lattice word, grown one row of the right
+factor at a time as a horizontal strip (W. Fulton, Young Tableaux, 1997,
+section 5.2), so one pass gives every coefficient of a product. Products
+of weight above the degree cap (8) are refused.
 
 An independent representation-theoretic route (multiplicities of the
 left ideal generated by embedded product symmetrizers, read off Fourier
@@ -14,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, product
 from math import comb, factorial
-from typing import Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from .dft import fourier_transform
 from .group_ring import MAX_DEGREE
@@ -30,14 +34,8 @@ from .tableaux import (
 )
 
 
-def _contains(outer: Partition, inner: Partition) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(o >= i for o, i in zip(outer, inner))
-
-
-def _require_weight(left: Partition, right: Partition) -> int:
-    """|left| + |right|, refused above the degree cap before any partition is scanned.
+def _require_weight(left: Partition, right: Partition) -> None:
+    """Refuse |left| + |right| above the degree cap, before any filling is grown.
 
     The cap is the weight up to which the Fourier cross-check can confirm a product.
     """
@@ -46,7 +44,41 @@ def _require_weight(left: Partition, right: Partition) -> int:
         raise ValueError(
             f"|{format_partition(left)}| + |{format_partition(right)}| = {weight} "
             f"exceeds the degree cap {MAX_DEGREE}")
-    return weight
+
+
+def _strips(lengths: Partition, size: int) -> Iterator[tuple[int, ...]]:
+    """Boxes gained per row, the last entry a new row, by each horizontal strip of size boxes.
+
+    Row i > 0 may gain at most lengths[i-1] - lengths[i], so no two new boxes share a column.
+    """
+    room = (size, *(a - b for a, b in zip(lengths, (*lengths[1:], 0))))
+    return (g for g in product(*(range(min(r, size) + 1) for r in room)) if sum(g) == size)
+
+
+def _lr_terms(left: Partition, right: Partition) -> dict[Partition, int]:
+    """Multiplicity of every shape in left x right, grown one row of right at a time.
+
+    Row k of right joins the shape as a horizontal strip of k's. The filling
+    is kept while, row by row, its k's so far are at most the k-1's in the
+    rows above: its reverse reading word is a lattice word. Cells of left
+    carry no letter and letter 0 has none before it, so strip 0 is never
+    checked. Fillings are merged on their shape and last strip, all that a
+    later check reads.
+    """
+    fillings = {(left, ()): 1}
+    for k, size in enumerate(right):
+        grown: dict[tuple[Partition, tuple[int, ...]], int] = {}
+        for (shape, previous), count in fillings.items():
+            for strip in _strips(shape, size):
+                if k and any(a > b for a, b in zip(accumulate(strip), accumulate((0, *previous)))):
+                    continue
+                key = (tuple(v for v in map(add, (*shape, 0), strip) if v), strip)
+                grown[key] = grown.get(key, 0) + count
+        fillings = grown
+    terms: dict[Partition, int] = {}
+    for (shape, _), count in fillings.items():
+        terms[shape] = terms.get(shape, 0) + count
+    return terms
 
 
 def lr_coefficient(left: Sequence[int], right: Sequence[int], target: Sequence[int]) -> int:
@@ -60,60 +92,7 @@ def lr_coefficient(left: Sequence[int], right: Sequence[int], target: Sequence[i
             f"weight mismatch: |{format_partition(target)}| != "
             f"|{format_partition(left)}| + |{format_partition(right)}|"
         )
-    if not _contains(target, left):
-        return 0
-
-    outer = list(target)
-    inner = [left[i] if i < len(left) else 0 for i in range(len(outer))]
-    cells = [
-        (i, j)
-        for i in range(len(outer))
-        for j in range(inner[i], outer[i])
-    ]
-    content_bound = list(right)
-    n_values = len(content_bound)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * n_values
-
-    def row_ok(i: int, j: int, v: int) -> bool:
-        leftcell = filling.get((i, j - 1))
-        return leftcell is None or leftcell <= v
-
-    def col_ok(i: int, j: int, v: int) -> bool:
-        up = filling.get((i - 1, j))
-        return up is None or up < v
-
-    def lattice_word() -> bool:
-        seen = [0] * n_values
-        for i in range(len(outer)):
-            for j in range(outer[i] - 1, inner[i] - 1, -1):
-                v = filling[(i, j)]
-                seen[v] += 1
-                if v > 0 and seen[v] > seen[v - 1]:
-                    return False
-        return True
-
-    total = 0
-
-    def place(k: int) -> None:
-        nonlocal total
-        if k == len(cells):
-            if lattice_word():
-                total += 1
-            return
-        i, j = cells[k]
-        for v in range(n_values):
-            if counts[v] >= content_bound[v]:
-                continue
-            if row_ok(i, j, v) and col_ok(i, j, v):
-                filling[(i, j)] = v
-                counts[v] += 1
-                place(k + 1)
-                counts[v] -= 1
-                del filling[(i, j)]
-
-    place(0)
-    return total
+    return _lr_terms(left, right).get(target, 0)
 
 
 @dataclass(frozen=True)
@@ -154,12 +133,8 @@ def lr_product(left: Sequence[int], right: Sequence[int]) -> LRDecomposition:
     """Full decomposition of the product of two irreducibles."""
     left = validate_partition(left)
     right = validate_partition(right)
-    terms = {}
-    for target in partitions_of(_require_weight(left, right)):
-        c = lr_coefficient(left, right, target)
-        if c:
-            terms[target] = c
-    return LRDecomposition(left, right, terms)
+    _require_weight(left, right)
+    return LRDecomposition(left, right, _lr_terms(left, right))
 
 
 def admissible_pairs(target: Sequence[int]) -> list[tuple[Partition, Partition]]:

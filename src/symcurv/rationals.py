@@ -29,13 +29,14 @@ def as_rational(value) -> Rational:
 def as_rationals(values: Iterable) -> tuple[Rational, ...]:
     """The values as a tuple of canonical scalars.
 
-    All-int input, the common case, costs one type scan at C speed; any
-    other input is normalized entry by entry, so it raises as as_rational does.
+    All-int input, the common case, costs one type scan at C speed; in any
+    other input the entries that are not ints are normalized one by one, so
+    it raises as as_rational does.
     """
     values = tuple(values)
     if {int}.issuperset(map(type, values)):
         return values
-    return tuple(map(as_rational, values))
+    return tuple(v if type(v) is int else as_rational(v) for v in values)
 
 
 def parse_rational(text: str) -> Rational:

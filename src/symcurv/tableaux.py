@@ -3,7 +3,8 @@
 Standard tableaux of a shape are enumerated in last-letter order: the
 tableau whose largest differing entry sits in the lower row comes first.
 That order is the basis order of the natural representation, so it is
-load-bearing for the Fourier modules and must not change.
+load-bearing for the Fourier modules and must not change. It is also
+the order in which corner recursion grows them, so nothing is sorted.
 """
 
 from __future__ import annotations
@@ -182,10 +183,6 @@ def _block_permutations(degree: int, blocks: Sequence[Sequence[int]]) -> list[Pe
     return out
 
 
-def _last_letter_key(t: YoungTableau) -> tuple[int, ...]:
-    return tuple(-t.row_of(k) for k in range(t.size, 0, -1))
-
-
 def standard_tableaux(parts: Sequence[int]) -> tuple[YoungTableau, ...]:
     """All standard tableaux of the shape, in last-letter order."""
     return _standard_tableaux(validate_partition(parts))
@@ -193,24 +190,20 @@ def standard_tableaux(parts: Sequence[int]) -> tuple[YoungTableau, ...]:
 
 @lru_cache(maxsize=None)
 def _standard_tableaux(parts: Partition) -> tuple[YoungTableau, ...]:
+    """The largest entry r in each corner, lowest row first, over the smaller shape's tableaux."""
     r = sum(parts)
-    results: list[YoungTableau] = []
-
-    def place(entry: int, rows: list[list[int]]) -> None:
-        if entry > r:
-            results.append(YoungTableau(rows))
-            return
-        for i in range(len(parts)):
-            if len(rows[i]) >= parts[i]:
-                continue
-            if i > 0 and len(rows[i - 1]) <= len(rows[i]):
-                continue
-            rows[i].append(entry)
-            place(entry + 1, rows)
-            rows[i].pop()
-
-    place(1, [[] for _ in parts])
-    return tuple(sorted(results, key=_last_letter_key))
+    if r == 1:
+        return (YoungTableau(((1,),)),)
+    out = []
+    for i in reversed(range(len(parts))):
+        if i + 1 < len(parts) and parts[i + 1] == parts[i]:
+            continue  # the row below is as long: no corner here
+        smaller = tuple(filter(None, (*parts[:i], parts[i] - 1, *parts[i + 1:])))
+        for t in _standard_tableaux(smaller):
+            rows = [*t.rows, ()]
+            rows[i] += (r,)
+            out.append(YoungTableau(row for row in rows if row))
+    return tuple(out)
 
 
 def young_symmetrizer(t: YoungTableau) -> GroupRingElement:

@@ -12,6 +12,7 @@ from symcurv import (
     BlockMatrixImage,
     DenseTensor,
     GroupRingElement,
+    YoungTableau,
     hook_dimension,
     partitions_of,
     standard_tableaux,
@@ -290,3 +291,75 @@ def descent_transform(a):
                     acc[j] = [u + n * v for u, v in zip(acc[j], column)]
         blocks.append([[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)])
     return BlockMatrixImage(a.degree, blocks)
+
+
+def backtrack_lr_coefficient(left, right, target):
+    """Multiplicity of target in left x right, by backtracking over skew fillings.
+
+    Every cell of target/left is tried with every letter, column-strict and
+    within right's content, and each complete filling is kept when its
+    reverse reading word is a lattice word. The per-target search that
+    lr_product's strip growth replaced, kept as its oracle.
+    """
+    if len(left) > len(target) or any(o < i for o, i in zip(target, left)):
+        return 0
+    outer = list(target)
+    inner = [left[i] if i < len(left) else 0 for i in range(len(outer))]
+    cells = [(i, j) for i in range(len(outer)) for j in range(inner[i], outer[i])]
+    n_values = len(right)
+    filling = {}
+    counts = [0] * n_values
+
+    def lattice_word():
+        seen = [0] * n_values
+        for i in range(len(outer)):
+            for j in range(outer[i] - 1, inner[i] - 1, -1):
+                v = filling[(i, j)]
+                seen[v] += 1
+                if v > 0 and seen[v] > seen[v - 1]:
+                    return False
+        return True
+
+    def place(k):
+        if k == len(cells):
+            return 1 if lattice_word() else 0
+        i, j = cells[k]
+        total = 0
+        for v in range(n_values):
+            if counts[v] >= right[v]:
+                continue
+            if filling.get((i, j - 1), -1) <= v and filling.get((i - 1, j), -1) < v:
+                filling[(i, j)] = v
+                counts[v] += 1
+                total += place(k + 1)
+                counts[v] -= 1
+                del filling[(i, j)]
+        return total
+
+    return place(0)
+
+
+def sorted_standard_tableaux(parts):
+    """Standard tableaux placed entry by entry in any order, then sorted into last-letter order.
+
+    The enumeration that the corner recursion replaced, kept as its oracle:
+    the tableau whose largest differing entry sits in the lower row comes first.
+    """
+    r = sum(parts)
+    results = []
+
+    def place(entry, rows):
+        if entry > r:
+            results.append(YoungTableau(rows))
+            return
+        for i in range(len(parts)):
+            if len(rows[i]) >= parts[i]:
+                continue
+            if i > 0 and len(rows[i - 1]) <= len(rows[i]):
+                continue
+            rows[i].append(entry)
+            place(entry + 1, rows)
+            rows[i].pop()
+
+    place(1, [[] for _ in parts])
+    return tuple(sorted(results, key=lambda t: tuple(-t.row_of(k) for k in range(r, 0, -1))))

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from conftest import backtrack_lr_coefficient
 from symcurv import (
     admissible_pairs,
     hook_dimension,
@@ -56,6 +57,21 @@ def _pairs_up_to(total):
             for left in partitions_of(ra):
                 for right in partitions_of(rb):
                     yield left, right
+
+
+@pytest.mark.parametrize("weight", range(2, 9))
+def test_products_match_backtracking_oracle(weight):
+    # every ordered pair of this weight and every target; 301 pairs over weights 2..8
+    for split in range(1, weight):
+        for left in partitions_of(split):
+            for right in partitions_of(weight - split):
+                expected = {}
+                for target in partitions_of(weight):
+                    c = backtrack_lr_coefficient(left, right, target)
+                    assert lr_coefficient(left, right, target) == c
+                    if c:
+                        expected[target] = c
+                assert lr_product(left, right).terms == expected
 
 
 def test_product_is_symmetric():

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conftest import scanned_stabilizer_symmetrizer
+from conftest import scanned_stabilizer_symmetrizer, sorted_standard_tableaux
 from symcurv import (
     GroupRingElement,
     YoungTableau,
@@ -68,6 +68,13 @@ def test_hook_dimension_known_values():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_dimension_squares_sum_to_group_order(r):
     assert sum(hook_dimension(s) ** 2 for s in partitions_of(r)) == factorial(r)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_standard_tableaux_match_sorted_oracle(r):
+    # compared as tuples, so the last-letter order counts too
+    for shape in partitions_of(r):
+        assert standard_tableaux(shape) == sorted_standard_tableaux(shape)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])

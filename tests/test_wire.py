@@ -61,6 +61,24 @@ def test_bad_element_document_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# the degree is checked once, by the constructor the reader ends in, before it allocates
+DEGREES_OUT_OF_RANGE = {
+    "degree_0_no_terms": {"degree": 0, "terms": []},
+    "degree_30_one_term": _with(ELEMENT, ("degree",), 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGREES_OUT_OF_RANGE))
+def test_element_degree_out_of_range_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(DEGREES_OUT_OF_RANGE[case]))
+    with pytest.raises(ValueError, match=r"degree must be in 1\.\.8"):
+        GroupRingElement.from_dict(DEGREES_OUT_OF_RANGE[case])
+    assert main(["rank", "--element", str(path), "--dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree must be in 1..8") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
 def test_bad_tensor_document_exits_2(case, tmp_path, capsys):
     path = tmp_path / "tensor.json"
