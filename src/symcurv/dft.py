@@ -30,14 +30,15 @@ support. Every rank in the package is read off these blocks (block_ranks).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .group_ring import (MAX_DEGREE, GroupRingElement, _inverse_table, _numerators, _sorted_on,
-                         _stabilizer_blocks)
+from .group_ring import (MAX_DEGREE, GroupRingElement, _inverse_table, _numerators,
+                         _require_degree, _sorted_on, _stabilizer_blocks)
 from .linalg import Matrix
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
@@ -216,36 +217,34 @@ def natural_rep_matrix(parts: Sequence[int], p: Permutation) -> Matrix:
     return tuple(zip(*chain[p.images]))
 
 
+@dataclass(frozen=True)
 class BlockMatrixImage:
-    """One matrix per partition of r: the Fourier image of an element."""
+    """The Fourier image of an element: one matrix per partition of r, from any block sequence."""
 
     __slots__ = ("degree", "blocks")
+    degree: int
+    blocks: tuple[Matrix, ...]
 
-    def __init__(self, degree: int, blocks: Sequence[Matrix]):
-        shapes = partitions_of(degree)
-        blocks = tuple(linalg.matrix(b) for b in blocks)
+    def __post_init__(self):
+        _require_degree(self.degree)
+        shapes = partitions_of(self.degree)
+        blocks = tuple(linalg.matrix(b) for b in self.blocks)
         if len(blocks) != len(shapes):
-            raise ValueError(f"expected {len(shapes)} blocks for degree {degree}")
+            raise ValueError(f"expected {len(shapes)} blocks for degree {self.degree}")
         for shape, block in zip(shapes, blocks):
             d = hook_dimension(shape)
             if len(block) != d or any(len(row) != d for row in block):
                 raise ValueError(f"block for {shape} must be {d}x{d}")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockMatrixImage is immutable")
-
-    @classmethod
-    def zero(cls, degree: int) -> "BlockMatrixImage":
-        return cls(degree, [linalg.zero_matrix(hook_dimension(s)) for s in partitions_of(degree)])
 
     @classmethod
     def one(cls, degree: int) -> "BlockMatrixImage":
+        _require_degree(degree)
         return cls(degree, [linalg.identity_matrix(hook_dimension(s)) for s in partitions_of(degree)])
 
     @classmethod
     def from_single_block(cls, degree: int, parts: Sequence[int], block: Matrix) -> "BlockMatrixImage":
+        _require_degree(degree)
         parts = validate_partition(parts)
         blocks = [
             linalg.matrix(block) if shape == parts else linalg.zero_matrix(hook_dimension(shape))
@@ -260,13 +259,6 @@ class BlockMatrixImage:
             raise ValueError(f"{parts} is not a partition of {self.degree}")
         return self.blocks[shapes.index(parts)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockMatrixImage)
-            and self.degree == other.degree
-            and self.blocks == other.blocks
-        )
-
     def __matmul__(self, other: "BlockMatrixImage") -> "BlockMatrixImage":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -278,6 +270,13 @@ class BlockMatrixImage:
     def __repr__(self) -> str:
         sizes = "+".join(str(len(b)) for b in self.blocks)
         return f"<BlockMatrixImage degree={self.degree} blocks {sizes}>"
+
+
+def _require_work(words: int, sizes: Iterable[int]) -> None:
+    """Refuse when words x Σ f² over the block sizes f exceeds MAX_TRANSFORM_WORK."""
+    work = words * sum(f * f for f in sizes)
+    if work > MAX_TRANSFORM_WORK:
+        raise ValueError(f"transform work {work} exceeds the bound {MAX_TRANSFORM_WORK}")
 
 
 def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[list[Columns], int]:
@@ -294,9 +293,7 @@ def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[li
     numerators = {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
     tree = _descent_tree(numerators)
     sizes = [hook_dimension(shape) for shape in shapes]
-    work = (1 + sum(map(len, tree.values()))) * sum(f * f for f in sizes)
-    if work > MAX_TRANSFORM_WORK:
-        raise ValueError(f"transform work {work} exceeds the bound {MAX_TRANSFORM_WORK}")
+    _require_work(1 + sum(map(len, tree.values())), sizes)
     out = []
     for shape, f in zip(shapes, sizes):
         acc = [[0] * f for _ in range(f)]
@@ -335,17 +332,19 @@ def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
 
     Coefficient at p is the dimension-weighted sum over shapes of
     trace(D(p^{-1}) . block), divided by r!. Every block is scaled to one
-    common denominator, so each trace is an integer dot product.
+    common denominator, so each trace is an integer dot product. Refuses when
+    r! words times Σ f_λ² over the nonzero blocks exceed MAX_TRANSFORM_WORK.
     """
     degree = image.degree
-    den = lcm(*(x.denominator for block in image.blocks for row in block for x in row))
+    nonzero = [(shape, block) for shape, block in zip(partitions_of(degree), image.blocks)
+               if any(map(any, block))]
+    _require_work(factorial(degree), (len(block) for _, block in nonzero))
+    den = lcm(*(x.denominator for _, block in nonzero for row in block for x in row))
     rank = _rank_table(degree)
     inverse = _inverse_table(degree)
     tree = _descent_tree(rank)
     totals = [0] * len(rank)
-    for shape, block in zip(partitions_of(degree), image.blocks):
-        if not any(any(row) for row in block):
-            continue
+    for shape, block in nonzero:
         d = len(block)
         rows = [[int(d * den * x) for x in row] for row in block]
         # trace(D(q) B) is column j of D(q) dotted with row j of B, summed over j

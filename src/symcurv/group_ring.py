@@ -17,6 +17,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
@@ -140,22 +141,21 @@ def _numerators(a: "GroupRingElement") -> tuple[int, dict[tuple[int, ...], int]]
     return den, {w: c.numerator * (den // c.denominator) for w, c in terms}
 
 
+@dataclass(frozen=True)
 class GroupRingElement:
-    """An element of Q[S_r] with dense exact-rational coefficients."""
+    """An element of Q[S_r] with dense exact-rational coefficients, built from any sequence."""
 
     __slots__ = ("degree", "coeffs")
+    degree: int
+    coeffs: tuple[Rational, ...]
 
-    def __init__(self, degree: int, coeffs: Sequence[Rational]):
-        _require_degree(degree)
-        size = factorial(degree)
-        coeffs = as_rationals(coeffs)
+    def __post_init__(self):
+        _require_degree(self.degree)
+        size = factorial(self.degree)
+        coeffs = as_rationals(self.coeffs)
         if len(coeffs) != size:
-            raise ValueError(f"need {size} coefficients for degree {degree}, got {len(coeffs)}")
-        object.__setattr__(self, "degree", degree)
+            raise ValueError(f"need {size} coefficients for degree {self.degree}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -292,16 +292,6 @@ class GroupRingElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.coeffs))
 
     def __repr__(self) -> str:
         terms = self.terms()

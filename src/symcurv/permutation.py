@@ -9,26 +9,26 @@ embedding machinery relies on that distinction.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_words
 from typing import Iterable, Sequence
 
 
+@dataclass(frozen=True)
 class Permutation:
-    """An immutable bijection of {1..r}."""
+    """An immutable bijection of {1..r}, built from any iterable of its images."""
 
     __slots__ = ("images",)
+    images: tuple[int, ...]
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(int(v) for v in images)
+    def __post_init__(self):
+        images = tuple(int(v) for v in self.images)
         if not images:
             raise ValueError("degree must be at least 1")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(images)}: {list(images)}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @property
     def degree(self) -> int:
@@ -113,9 +113,6 @@ class Permutation:
                     inversions += 1
         return -1 if inversions % 2 else 1
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.images, start=1) if v == i)
 
@@ -136,12 +133,6 @@ class Permutation:
                 nxt = self(nxt)
             parts.append("(" + " ".join(str(v) for v in cycle) + ")")
         return "".join(parts) or "()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __lt__(self, other: "Permutation") -> bool:
         if self.degree != other.degree:

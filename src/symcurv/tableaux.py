@@ -9,12 +9,13 @@ the order in which corner recursion grows them, so nothing is sorted.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _words
 from itertools import product as _cartesian
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .group_ring import MAX_DEGREE, GroupRingElement
 from .permutation import Permutation
@@ -96,22 +97,21 @@ def weyl_dimension(parts: Sequence[int], dim: int) -> int:
     return int(value)
 
 
+@dataclass(frozen=True)
 class YoungTableau:
-    """A filling of a Young frame with 1..r, each exactly once."""
+    """A filling of a Young frame with 1..r, each exactly once, built from any iterable of rows."""
 
     __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: Iterable[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
         shape = tuple(len(row) for row in rows)
         validate_partition(shape)
         entries = [v for row in rows for v in row]
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError(f"entries must be 1..{len(entries)} exactly once: {rows}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YoungTableau is immutable")
 
     @property
     def shape(self) -> Partition:
@@ -157,12 +157,6 @@ class YoungTableau:
     def vertical_group(self) -> list[Permutation]:
         """All permutations moving entries only within their columns."""
         return _block_permutations(self.size, self.columns())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YoungTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"YoungTableau({[list(row) for row in self.rows]})"

@@ -54,24 +54,23 @@ def frame(vectors: Iterable[Iterable[Rational]]) -> FrameTuple:
     return out
 
 
+@dataclass(frozen=True)
 class DenseTensor:
-    """Order-r tensor over an n-dimensional space, dense row-major storage."""
+    """Order-r tensor over an n-dimensional space, dense row-major storage from any sequence."""
 
     __slots__ = ("order", "dim", "coords")
+    order: int
+    dim: int
+    coords: tuple[Rational, ...]
 
-    def __init__(self, order: int, dim: int, coords: Sequence[Rational]):
-        if order < 1 or dim < 1:
-            raise ValueError(f"order and dim must be positive, got {order}, {dim}")
-        size = dim ** order
-        coords = as_rationals(coords)
+    def __post_init__(self):
+        if self.order < 1 or self.dim < 1:
+            raise ValueError(f"order and dim must be positive, got {self.order}, {self.dim}")
+        size = self.dim ** self.order
+        coords = as_rationals(self.coords)
         if len(coords) != size:
             raise ValueError(f"need {size} coordinates, got {len(coords)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseTensor is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -136,17 +135,6 @@ class DenseTensor:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DenseTensor)
-            and self.order == other.order
-            and self.dim == other.dim
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.dim, self.coords))
 
     def __repr__(self) -> str:
         nonzero = sum(1 for c in self.coords if c)

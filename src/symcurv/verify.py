@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -245,17 +246,23 @@ def check_gamma_hat_generators() -> CheckReport:
                    f"both product orders match the closed form; span rank {span} = projector rank")
 
 
+@lru_cache(maxsize=8)
+def _class_image(nu: Rational | None) -> tuple[DenseTensor, ...]:
+    """The image of the class idempotent on order-3 tensors, as its primitive echelon rows."""
+    e = class_idempotent(nu)
+    image = RowBasis()
+    for b in coordinate_basis(3, 3):
+        image.add(enumerate(apply_operator(e, b).coords))
+    return tuple(DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows)
+
+
 def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> int:
     """Span rank of starred-symmetrizer products for one class and product type."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
-    e = class_idempotent(nu)
+    # normalized first: a float equal to a cached key must be refused, not served
+    u_family = _class_image(None if nu is None else as_rational(nu))
     ystar = curvature_symmetrizer_star(1)
-    # the image of e, as the primitive integer echelon rows that span it
-    image = RowBasis()
-    for b in coordinate_basis(3, 3):
-        image.add(enumerate(apply_operator(e, b).coords))
-    u_family = [DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows]
     pair_family = symmetric_basis(3) if epsilon == 1 else alternating_basis(3)
     products = []
     for u in u_family:

@@ -231,6 +231,25 @@ def test_inverse_of_identity_blocks():
     assert inverse_fourier(BlockMatrixImage.one(3)) == GroupRingElement.identity(3)
 
 
+def test_images_above_the_degree_cap_refused_before_any_block_is_built():
+    for build in (lambda: BlockMatrixImage.one(MAX_DEGREE + 1),
+                  lambda: BlockMatrixImage.from_single_block(MAX_DEGREE + 1, (9,), ((1,),)),
+                  lambda: BlockMatrixImage(MAX_DEGREE + 1, []),
+                  lambda: BlockMatrixImage(0, [])):
+        with pytest.raises(ValueError, match=f"degree must be in 1..{MAX_DEGREE}"):
+            build()
+
+
+def test_inverse_transform_work_bound():
+    # one identity (4 3 1) block: 8! words times 70² is over the bound, refused before the tree
+    big = BlockMatrixImage.from_single_block(8, (4, 3, 1), identity_matrix(70))
+    with pytest.raises(ValueError, match="transform work"):
+        inverse_fourier(big)
+    # the trivial block alone is 8! x 1: it inverts to the normalized group sum
+    trivial = inverse_fourier(BlockMatrixImage.from_single_block(8, (8,), ((1,),)))
+    assert trivial == GroupRingElement(8, [Fraction(1, factorial(8))] * factorial(8))
+
+
 def test_idempotent_matrices():
     for nu in (0, 1, Fraction(1, 2), Fraction(-2, 3)):
         x = x_matrix(nu)

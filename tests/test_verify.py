@@ -48,6 +48,18 @@ def test_mixed_class_checks_pass():
         assert report.passed, f"{report.name}: {report.details}"
 
 
+def test_mixed_class_checks_build_each_class_image_once():
+    import symcurv.verify as verify
+
+    verify._class_image.cache_clear()
+    all_mixed_class_checks()
+    info = verify._class_image.cache_info()
+    assert (info.misses, info.hits) == (6, 18)
+    # 0.5 equals the cached key 1/2 but is not exact: it is refused, not served
+    with pytest.raises(TypeError):
+        mixed_class_span_rank(0.5, 1, False)
+
+
 def test_excluded_class_spans_nothing():
     # the computed value for the excluded class: the products vanish outright
     assert mixed_class_span_rank(Fraction(1, 2), 1, False) == 0
