@@ -1,17 +1,17 @@
-"""Discrete Fourier transform on Q[S_r] via Young's natural representation.
+"""Discrete Fourier transform on Q[S_r] in Young's natural representation.
 
 The transform sends an element to one exact-rational matrix per
 partition of r; it is a ring isomorphism onto the product of the full
 matrix rings of sizes given by the hook dimensions.
 
 Representation convention: with standard tableaux in last-letter order,
-D(p) is the transpose of the standard-polytabloid matrix of p^{-1}.
-Under this convention the inverse transform carries the rank-one
-idempotents of the (2 1) block of Q[S_3] to the xi/eta families with
-their expected coefficients; tests pin those coefficients, so the
-convention must not drift.
+D(p) is the transpose of the standard-polytabloid matrix of p^{-1}
+(Young's natural representation). Under this convention the inverse
+transform carries the rank-one idempotents of the (2 1) block of Q[S_3]
+to the xi/eta families with their expected coefficients; tests pin those
+coefficients, so the convention must not drift.
 
-How D(p) is computed: per shape, the r-1 integer matrices D(s_i) of the
+Natural generators: per shape, the r-1 integer matrices D(s_i) of the
 Coxeter generators s_i = (i i+1) are built once. Column t of the
 polytabloid matrix of s_i is -e_t when i and i+1 share a column of t,
 and e_{s_i t} when they share neither a row nor a column (s_i t is then
@@ -19,29 +19,40 @@ standard). When they share a row, the polytabloid of s_i t is restricted
 to the standard tabloids and solved by integer substitution against the
 standard polytabloids, whose matrix there is lower unitriangular in
 last-letter order (B. Sagan, The Symmetric Group, 2nd ed., sections
-2.5-2.6). Every other matrix follows a descent chain: if p(i) > p(i+1),
-D(p) = D(p s_i) D(s_i). All arithmetic is on ints; the convention above
-is unchanged.
+2.5-2.6).
 
-An element is transformed the way it is multiplied: its stabilizer group
-sums become Jucys-Murphy chains and the descent tree covers the rest of its
-support. Every rank in the package is read off these blocks (block_ranks).
+The work is done in Young's seminormal form by Clausen's recursion
+(seminormal.py). Ranks do not depend on the basis, so block_ranks never
+leaves that form. In its normalization one upper unitriangular
+intertwiner P per shape carries it to the natural form,
+D_nat(p) P = P D_sn(p); P and P^{-1} come from two recursions on the
+natural generators, with no solve, and fourier_transform,
+natural_rep_matrix and inverse_fourier pass through them.
+
+An element is transformed the way it is multiplied: its right stabilizer
+group sums are split off, the recursion covers the rest of its support,
+and each group sum is a Jucys-Murphy chain. The work bound still counts
+descent-tree words, the words on the first-descent chains of that
+support, times Σ f_λ² over the shapes built. That overstates Clausen's
+own work, and it is checked before any matrix is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import factorial, lcm
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from math import factorial, gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
-from . import linalg
-from .group_ring import (MAX_DEGREE, GroupRingElement, _inverse_table, _numerators,
-                         _require_degree, _sorted_on, _stabilizer_blocks)
+from . import linalg, seminormal
+from .group_ring import (MAX_DEGREE, GroupRingElement, _numerators, _require_degree, _sorted_on,
+                         _stabilizer_blocks)
 from .linalg import Matrix
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
+from .seminormal import Block, Rows
 from .tableaux import (
     Partition,
     YoungTableau,
@@ -55,10 +66,6 @@ from .tableaux import (
 Word = tuple[int, ...]
 # A generator's columns: column a lists the (row, entry) pairs of its nonzeros.
 Generator = tuple[tuple[tuple[int, int], ...], ...]
-# A representation matrix as the sequence of its integer columns.
-Columns = Sequence[Sequence[int]]
-# Child words by parent word, each child with the 0-based generator index taking the parent to it.
-Tree = dict[Word, list[tuple[int, Word]]]
 
 # Bound on (words in a transform's descent tree) x Σ f_λ² over the shapes it builds.
 MAX_TRANSFORM_WORK = 2**25
@@ -155,66 +162,120 @@ def _generators(parts: Partition) -> tuple[Generator, ...]:
     return tuple(gens)
 
 
-def _times_generator(m: Columns, gen: Generator) -> Columns:
-    """m . D(s_i), column by column."""
-    out = []
-    for terms in gen:
-        if len(terms) == 1:
-            b, c = terms[0]
-            out.append(m[b] if c == 1 else tuple(c * v for v in m[b]))
-        else:
-            acc = [0] * len(m)
-            for b, c in terms:
-                acc = [u + c * v for u, v in zip(acc, m[b])]
-            out.append(tuple(acc))
-    return tuple(out)
-
-
-def _descent_tree(words: Iterable[Word]) -> Tree:
-    """Every word's first-descent chain down to the identity, as child lists.
+def _descent_words(words: Iterable[Word]) -> int:
+    """How many words lie on the first-descent chains from the given words to the identity.
 
     The parent of a word w with first descent i (w[i] > w[i+1], 0-based) is
-    w with those two entries swapped, that is w s_{i+1}, one inversion shorter.
+    w with those two entries swapped, one inversion shorter. The identity
+    counts when no word is given.
     """
     seen: set[Word] = set()
-    children: Tree = {}
     for w in words:
         while w not in seen:
             seen.add(w)
             i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
             if i is None:
                 break
-            parent = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-            children.setdefault(parent, []).append((i, w))
-            w = parent
-    return children
+            w = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+    return max(len(seen), 1)
 
 
-def _walk(parts: Partition, f: int, children: Tree) -> Iterator[tuple[Word, Columns]]:
-    """(word, columns of D(word)) over the identity and a descent tree, depth first.
+def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[Block | None]:
+    """Seminormal D_λ(a) per shape, None for a zero block.
 
-    f is the shape's hook dimension. A child's matrix is its parent's times
-    one generator, computed when the child is reached, so only the matrices
-    on the current path are alive.
+    As in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over a's right stabilizer
+    blocks; Clausen's recursion covers a0 and each group sum is a
+    Jucys-Murphy chain. Refuses before any matrix is built when the words on
+    the first-descent chains of a0's support times Σ f_λ² exceed
+    MAX_TRANSFORM_WORK.
+    """
+    den, numerators = _numerators(a)
+    stabilizer = _stabilizer_blocks(numerators)
+    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, stabilizer)}
+    _require_work(_descent_words(numerators), [hook_dimension(shape) for shape in shapes])
+    values = [0] * factorial(a.degree)
+    rank = _rank_table(a.degree)
+    for w, n in numerators.items():
+        values[rank[w]] = n
+    found = seminormal.forward([values[k] for k in seminormal.recursion_order(a.degree)], a.degree,
+                               tuple(dict.fromkeys(shapes))) if numerators else {}
+    out = []
+    for shape in shapes:
+        block = found.get(shape)
+        if block is not None and stabilizer:
+            block = seminormal.times_group_sums(shape, block, stabilizer)
+        out.append(None if block is None else (den * block[0], block[1]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _intertwiner(parts: Partition) -> tuple[Rows, int, Rows, int]:
+    """(P, p, Q, q): D_nat(g)·P/p = P/p·D_sn(g) for every g, and Q/q is the inverse of P/p.
+
+    P/p is upper unitriangular. Its columns: p_0 = e_0, and p_u =
+    D_nat(s_i)·p_t - p_t/d_t for t before u = s_i t. The rows of its inverse:
+    q_{f-1} = e_{f-1}, and q_t = q_u·D_nat(s_i) - q_u/d_u for u = s_i t after
+    t. Both recursions run on the natural generators in integers.
     """
     gens = _generators(parts)
-    identity = tuple(tuple(int(i == j) for i in range(f)) for j in range(f))
-    stack = [(tuple(range(1, sum(parts) + 1)), identity, None)]
-    while stack:
-        w, m, i = stack.pop()
-        if i is not None:
-            m = _times_generator(m, gens[i])
-        yield w, m
-        stack.extend((child, m, j) for j, child in children.get(w, ()))
+    left, _, contents = seminormal.generators(parts)
+    f = len(contents)
+
+    def vectors(later: bool, times) -> tuple[Rows, int]:
+        # each vector from the one at its s_i-neighbour s, built before it
+        order = range(f - 2, -1, -1) if later else range(1, f)
+        start = f - 1 if later else 0
+        out = {start: ([int(j == start) for j in range(f)], 1)}
+        for n in order:
+            i, s = next((i, u) for i, (_, ops) in enumerate(left)
+                        if (u := ops[n][0]) >= 0 and (u > n) == later)
+            x, e = out[s]
+            d = contents[s][i + 2] - contents[s][i + 1]
+            num, den = [d * y - z for y, z in zip(times(gens[i], x), x)], d * e
+            g = gcd(den, *num) * (1 if den > 0 else -1)
+            out[n] = [v // g for v in num], den // g
+        den = lcm(*(e for _, e in out.values()))
+        return [[v * (den // e) for v in x] for x, e in map(out.__getitem__, range(f))], den
+
+    def image(gen: Generator, x: list[int]) -> list[int]:
+        out = [0] * f
+        for a, column in enumerate(gen):
+            for b, c in column:
+                out[b] += c * x[a]
+        return out
+
+    columns, p = vectors(False, image)
+    q_rows, q = vectors(True, lambda gen, y: [sum(c * y[b] for b, c in column) for column in gen])
+    return [list(row) for row in zip(*columns)], p, q_rows, q
+
+
+def _mat_mul(a: Rows, b: Rows) -> Rows:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+
+
+def _natural(parts: Partition, block: Block | None) -> list[list[Rational]]:
+    """The natural-basis matrix P·M·P^{-1} of a seminormal block M, as exact rationals."""
+    if block is None:
+        return linalg.zero_matrix(hook_dimension(parts))
+    p, p_den, q, q_den = _intertwiner(parts)
+    den = block[0] * p_den * q_den
+    rows = _mat_mul(_mat_mul(p, block[1]), q)
+    return [[Fraction(x, den) if x % den else x // den for x in row] for row in rows]
+
+
+def _permutation_block(parts: Sequence[int], p: Permutation) -> tuple[Partition, Block]:
+    parts = _checked_shape(parts)
+    if sum(parts) != p.degree:
+        raise ValueError(f"shape weight {sum(parts)} != degree {p.degree}")
+    (block,) = _seminormal_blocks(GroupRingElement.from_permutation(p), [parts])
+    return parts, block
 
 
 def natural_rep_matrix(parts: Sequence[int], p: Permutation) -> Matrix:
     """The irreducible matrix of p for this shape, exact and integral."""
-    parts = _checked_shape(parts)
-    if sum(parts) != p.degree:
-        raise ValueError(f"shape weight {sum(parts)} != degree {p.degree}")
-    chain = dict(_walk(parts, hook_dimension(parts), _descent_tree([p.images])))
-    return tuple(zip(*chain[p.images]))
+    parts, block = _permutation_block(parts, p)
+    return tuple(map(tuple, _natural(parts, block)))
 
 
 @dataclass(frozen=True)
@@ -224,6 +285,10 @@ class BlockMatrixImage:
     __slots__ = ("degree", "blocks")
     degree: int
     blocks: tuple[Matrix, ...]
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), (self.degree, self.blocks)
 
     def __post_init__(self):
         _require_degree(self.degree)
@@ -279,80 +344,43 @@ def _require_work(words: int, sizes: Iterable[int]) -> None:
         raise ValueError(f"transform work {work} exceeds the bound {MAX_TRANSFORM_WORK}")
 
 
-def _block_columns(a: GroupRingElement, shapes: Sequence[Partition]) -> tuple[list[Columns], int]:
-    """D_λ(a) per shape as integer columns over one common denominator.
-
-    As in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over a's right stabilizer
-    blocks; the descent tree covers a0's support, and each group sum is the
-    chain Π_j (I + χ·Σ_{i<j} D((i j))), D((i j)) being the palindrome
-    s_{j-1}···s_i···s_{j-1}. Refuses before any matrix is built when the
-    tree's words times Σ f_λ² exceed MAX_TRANSFORM_WORK.
-    """
-    den, numerators = _numerators(a)
-    blocks = _stabilizer_blocks(numerators)
-    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
-    tree = _descent_tree(numerators)
-    sizes = [hook_dimension(shape) for shape in shapes]
-    _require_work(1 + sum(map(len, tree.values())), sizes)
-    out = []
-    for shape, f in zip(shapes, sizes):
-        acc = [[0] * f for _ in range(f)]
-        for w, m in _walk(shape, f, tree):
-            n = numerators.get(w)
-            if n:
-                for j, column in enumerate(m):
-                    acc[j] = [u + n * v for u, v in zip(acc[j], column)]
-        for block, sign in blocks if any(map(any, acc)) else ():
-            for k, j in enumerate(block[1:], start=1):
-                total = acc
-                for i in block[:k]:
-                    word = (*range(j - 1, i, -1), *range(i, j))
-                    m = reduce(_times_generator, map(_generators(shape).__getitem__, word), acc)
-                    total = [[u + sign * v for u, v in zip(x, y)] for x, y in zip(total, m)]
-                acc = total
-        out.append(acc)
-    return out, den
-
-
 def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
     """Blockwise sum of a(p) times the representation matrix of p."""
-    columns, den = _block_columns(a, partitions_of(a.degree))
-    blocks = [[[as_rational(Fraction(x, den)) for x in row] for row in zip(*c)] for c in columns]
-    return BlockMatrixImage(a.degree, blocks)
+    shapes = partitions_of(a.degree)
+    return BlockMatrixImage(a.degree, [_natural(shape, block)
+                                       for shape, block in zip(shapes, _seminormal_blocks(a, shapes))])
 
 
 def block_ranks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[int]:
-    """rank D_λ(a) for each listed shape."""
-    columns, _ = _block_columns(a, shapes)
-    return [linalg.rank_of_rows(c) for c in columns]
+    """rank D_λ(a) for each listed shape, read off the seminormal blocks."""
+    return [0 if block is None else linalg.rank_of_rows(block[1]) for block in _seminormal_blocks(a, shapes)]
 
 
 def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
     """Exact two-sided inverse of fourier_transform.
 
     Coefficient at p is the dimension-weighted sum over shapes of
-    trace(D(p^{-1}) . block), divided by r!. Every block is scaled to one
-    common denominator, so each trace is an integer dot product. Refuses when
-    r! words times Σ f_λ² over the nonzero blocks exceed MAX_TRANSFORM_WORK.
+    trace(D(p^{-1}) . block), divided by r!. Each nonzero block B is taken to
+    seminormal form, P^{-1}·B·P, on integer numerators, and the adjoint of
+    Clausen's recursion gives every coefficient at once. Refuses when r!
+    words times Σ f_λ² over the nonzero blocks exceed MAX_TRANSFORM_WORK.
     """
     degree = image.degree
     nonzero = [(shape, block) for shape, block in zip(partitions_of(degree), image.blocks)
                if any(map(any, block))]
     _require_work(factorial(degree), (len(block) for _, block in nonzero))
-    den = lcm(*(x.denominator for _, block in nonzero for row in block for x in row))
-    rank = _rank_table(degree)
-    inverse = _inverse_table(degree)
-    tree = _descent_tree(rank)
-    totals = [0] * len(rank)
+    blocks = {}
     for shape, block in nonzero:
-        d = len(block)
-        rows = [[int(d * den * x) for x in row] for row in block]
-        # trace(D(q) B) is column j of D(q) dotted with row j of B, summed over j
-        for w, m in _walk(shape, d, tree):
-            totals[inverse[rank[w]]] += sum(u * v for column, row in zip(m, rows)
-                                            for u, v in zip(column, row))
+        p, p_den, q, q_den = _intertwiner(shape)
+        den = lcm(*(x.denominator for row in block for x in row))
+        rows = [[int(len(block) * den * x) for x in row] for row in block]
+        blocks[shape] = (den * p_den * q_den, _mat_mul(_mat_mul(q, rows), p))
+    den, totals = seminormal.adjoint(blocks, degree) if blocks else (1, [0] * factorial(degree))
+    coeffs = [0] * len(totals)
+    for k, t in zip(seminormal.recursion_order(degree), totals):
+        coeffs[k] = t
     size = den * factorial(degree)
-    return GroupRingElement(degree, [as_rational(Fraction(t, size)) for t in totals])
+    return GroupRingElement(degree, [Fraction(t, size) if t % size else t // size for t in coeffs])
 
 
 def x_matrix(nu: Rational) -> Matrix:
@@ -384,6 +412,6 @@ def fourier_eta() -> GroupRingElement:
 
 
 def character(parts: Sequence[int], p: Permutation) -> Rational:
-    """Trace of the irreducible matrix of p."""
-    m = natural_rep_matrix(parts, p)
-    return sum(m[i][i] for i in range(len(m)))
+    """Trace of the irreducible matrix of p, read off its seminormal form."""
+    _, (den, rows) = _permutation_block(parts, p)
+    return as_rational(Fraction(sum(row[i] for i, row in enumerate(rows)), den))

@@ -149,6 +149,10 @@ class GroupRingElement:
     degree: int
     coeffs: tuple[Rational, ...]
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), (self.degree, self.coeffs)
+
     def __post_init__(self):
         _require_degree(self.degree)
         size = factorial(self.degree)

@@ -22,6 +22,10 @@ class Permutation:
     __slots__ = ("images",)
     images: tuple[int, ...]
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), (self.images,)
+
     def __post_init__(self):
         images = tuple(int(v) for v in self.images)
         if not images:

@@ -1,0 +1,281 @@
+"""Young's seminormal form and Clausen's fast Fourier transform on Q[S_r].
+
+Every matrix here is a block: integer rows over one positive
+denominator, (den, rows). Each operation below reduces by one gcd per
+shape per level, so the numerators stay small.
+
+Seminormal generators come from contents alone. With d = c_T(i+1) -
+c_T(i), the content being column minus row, D(s_i) e_T = e_T/d +
+b e_{s_i T}, where b = 1 when T comes before s_i T in last-letter order
+and 1 - 1/d² otherwise; when i and i+1 share a row or a column, d = ±1
+and D(s_i) e_T = d e_T. The Jucys-Murphy element L_j = Σ_{i<j} (i j)
+acts on e_T by c_T(j).
+
+The tableaux holding r in one corner are contiguous in last-letter order
+and come in the smaller shape's own order, so restricted to S_{r-1} the
+form is block diagonal. Clausen's recursion follows (M. Clausen,
+Theoret. Comput. Sci. 67, 1989; D. Maslen, Math. Comp. 67, 1998): every
+w in S_r is c_k q with k = w(r), c_k = s_k···s_{r-1} and q in S_{r-1}, so
+D_λ(a) = Σ_k D(s_k)···D(s_{r-1}) ⊕_μ D_μ(a_k), a_k(q) = a(c_k q), the sum
+over the corners of λ. The inverse runs the adjoint recursion. Up to
+TABLE_DEGREE both read their blocks off a table of every D(w).
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import factorial, gcd, lcm, prod
+from operator import mul
+from typing import Sequence
+
+from .group_ring import _inverse_table
+from .permutation import _rank_table
+from .tableaux import Partition, standard_tableaux
+
+Rows = list[list[int]]
+# A matrix as integer rows over one positive denominator.
+Block = tuple[int, Rows]
+# A generator as row operations over one denominator: row t becomes
+# a·row t + b·row u for each (u, a, b), u = -1 when b = 0.
+RowOps = tuple[int, tuple[tuple[int, int, int], ...]]
+
+TABLE_DEGREE = 3
+
+
+@lru_cache(maxsize=None)
+def branches(parts: Partition) -> tuple[tuple[Partition, int, int], ...]:
+    """(μ, offset, f_μ) for each shape μ of λ minus a corner, in last-letter order.
+
+    The tableaux holding r in that corner are rows offset..offset+f_μ-1.
+    """
+    r = sum(parts)
+    out: list[list] = []
+    for k, t in enumerate(standard_tableaux(parts)):
+        mu = tuple(n for n in (len(row) - (row[-1] == r) for row in t.rows) if n)
+        if not out or out[-1][0] != mu:
+            out.append([mu, k, 0])
+        out[-1][2] += 1
+    return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=None)
+def generators(parts: Partition) -> tuple[tuple[RowOps, ...], tuple[RowOps, ...],
+                                         tuple[tuple[int, ...], ...]]:
+    """(left, right, contents) of the shape.
+
+    left[i-1] takes M to D(s_i)·M and right[i-1] takes the transpose of M to
+    the transpose of M·D(s_i). contents[T][v] is the content of entry v of
+    tableau T; index 0 is unused.
+    """
+    tableaux = standard_tableaux(parts)
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    contents = []
+    for t in tableaux:
+        c = [0] * (sum(parts) + 1)
+        for i, row in enumerate(t.rows):
+            for j, v in enumerate(row):
+                c[v] = j - i
+        contents.append(tuple(c))
+    left, right = [], []
+    for i in range(1, sum(parts)):
+        swap = {i: i + 1, i + 1: i}
+        steps = [(c[i + 1] - c[i], index.get(tuple(tuple(swap.get(v, v) for v in row) for row in t.rows), -1))
+                 for t, c in zip(tableaux, contents)]
+        den = lcm(*(d * d for d, _ in steps))
+        # entry [t][u] of D(s_i) is b_u, 1 when u comes first; entry [u][t] is b_t
+        for out, one in ((left, lambda t, u: u < t), (right, lambda t, u: t < u)):
+            out.append((den, tuple((u, den // d, 0 if u < 0 else den if one(t, u) else den - den // (d * d))
+                                   for t, (d, u) in enumerate(steps))))
+    return tuple(left), tuple(right), tuple(contents)
+
+
+def _apply(rows: Rows, ops: RowOps) -> Rows:
+    """The row operations on integer rows; the denominator ops[0] is the caller's."""
+    out = []
+    for row, (u, a, b) in zip(rows, ops[1]):
+        if u >= 0:
+            out.append([a * x + b * y for x, y in zip(row, rows[u])])
+        else:
+            out.append(row if a == 1 else [a * x for x in row])
+    return out
+
+
+def _add(x: Block | None, y: Block, sign: int = 1) -> Block:
+    """x + sign·y over the lcm of the denominators; x None stands for zero, added to with sign 1."""
+    if x is None:
+        return y
+    den = lcm(x[0], y[0])
+    s, t = den // x[0], sign * den // y[0]
+    return den, [[s * u + t * v for u, v in zip(p, q)] for p, q in zip(x[1], y[1])]
+
+
+def _reduced(block: Block) -> Block | None:
+    """The block over its least denominator, by one gcd; None when it is zero."""
+    den, rows = block
+    g = gcd(den, *(gcd(*row) for row in rows))
+    if g == den and not any(map(any, rows)):
+        return None
+    return block if g == 1 else (den // g, [[x // g for x in row] for row in rows])
+
+
+def _nonzero(blocks: dict[Partition, Block]) -> dict[Partition, Block]:
+    reduced = ((shape, _reduced(block)) for shape, block in blocks.items())
+    return {shape: block for shape, block in reduced if block is not None}
+
+
+def _direct_sum(parts: Partition, blocks: dict[Partition, Block]) -> Block | None:
+    """⊕_μ blocks[μ] over the corners of the shape, over one denominator; None when all are zero."""
+    corners = branches(parts)
+    dens = [blocks[mu][0] for mu, _, _ in corners if mu in blocks]
+    if not dens:
+        return None
+    den, f = lcm(*dens), sum(size for _, _, size in corners)
+    rows: Rows = []
+    for mu, offset, size in corners:
+        if mu not in blocks:
+            rows += [[0] * f] * size
+            continue
+        d, block = blocks[mu]
+        head, tail = [0] * offset, [0] * (f - offset - size)
+        rows += [head + (row if d == den else [den // d * x for x in row]) + tail for row in block]
+    return den, rows
+
+
+@lru_cache(maxsize=None)
+def recursion_order(degree: int) -> tuple[int, ...]:
+    """The canonical indices of S_degree in the recursion's order.
+
+    Words are grouped by k = w(r), k = 1 first; within a group they follow
+    c_k^{-1} w in S_{r-1}, in that degree's order.
+    """
+    words = [()]
+    for r in range(1, degree):
+        words = [(*(v + (v >= k) for v in q), k) for k in range(1, r + 1) for q in words]
+    rank = _rank_table(degree)
+    return tuple(rank[(*(v + (v >= k) for v in q), k)] for k in range(1, degree + 1) for q in words)
+
+
+@lru_cache(maxsize=None)
+def _table(parts: Partition) -> tuple[int, int, tuple, tuple]:
+    """(den, f, forward, adjoint) for a shape of weight at most TABLE_DEGREE.
+
+    forward[i] lists entry i of D(w), row by row, over the words w in
+    recursion order; adjoint[j] lists D(w^{-1}) column by column for the
+    j-th word w. Both are over den.
+    """
+    r = sum(parts)
+    if r == 1:
+        return 1, 1, ((1,),), ((1,),)
+    size = factorial(r)
+    blocks = [_cosets([int(i == j) for i in range(size)], r, [parts])[parts] for j in range(size)]
+    den = lcm(*(d for d, _ in blocks))
+    flats = [[x * (den // d) for row in rows for x in row] for d, rows in blocks]
+    order = recursion_order(r)
+    position = {k: j for j, k in enumerate(order)}
+    inverse = _inverse_table(r)
+    transposes = [[x * (den // d) for column in zip(*rows) for x in column] for d, rows in blocks]
+    return den, len(blocks[0][1]), tuple(zip(*flats)), tuple(transposes[position[inverse[k]]] for k in order)
+
+
+def forward(values: Sequence[int], r: int, shapes: Sequence[Partition]) -> dict[Partition, Block]:
+    """D_λ(a) for each listed λ, zero blocks left out.
+
+    values holds a's integer coefficients over S_r in recursion order.
+    """
+    if r > TABLE_DEGREE:
+        return _cosets(values, r, shapes)
+    out = {}
+    for lam in shapes:
+        den, f, table, _ = _table(lam)
+        flat = [sum(map(mul, values, entry)) for entry in table]
+        out[lam] = (den, [flat[i:i + f] for i in range(0, len(flat), f)])
+    return _nonzero(out)
+
+
+def _cosets(values: Sequence[int], r: int, shapes: Sequence[Partition]) -> dict[Partition, Block]:
+    """One step of Clausen's recursion: the coset c_k S_{r-1} is the k-th slice of values.
+
+    Each sub-transform is built once, shared by every λ above its shapes
+    and summed in before the next coset is visited.
+    """
+    below = tuple(dict.fromkeys(mu for lam in shapes for mu, _, _ in branches(lam)))
+    step = len(values) // r
+    acc: dict[Partition, Block] = {}
+    for k in range(r):
+        sub = values[k * step:(k + 1) * step]
+        if not any(sub):
+            continue
+        blocks = forward(sub, r - 1, below)
+        for lam in shapes:
+            term = _direct_sum(lam, blocks)
+            if term is not None:
+                den, rows = term
+                for ops in generators(lam)[0][k:r - 1][::-1]:
+                    rows = _apply(rows, ops)
+                    den *= ops[0]
+                acc[lam] = _add(acc.get(lam), (den, rows))
+    return _nonzero(acc)
+
+
+def adjoint(blocks: dict[Partition, Block], r: int) -> tuple[int, list[int]]:
+    """(den, t) with t[j]/den = Σ_λ tr(D_λ(w^{-1}) V_λ) over the blocks V_λ, w the j-th word.
+
+    For w = c_k q, D(w^{-1}) = D(q^{-1}) D(s_{r-1})···D(s_k), so the k-th
+    slice is the same sum over S_{r-1} with V replaced by
+    W_μ = Σ_{λ ⊃ μ} [D(s_{r-1})···D(s_k) V_λ]_μμ.
+    """
+    if r <= TABLE_DEGREE:
+        terms = []
+        for lam, (den, rows) in blocks.items():
+            table_den, _, _, table = _table(lam)
+            terms.append((den * table_den, [x for row in rows for x in row], table))
+        den = lcm(*(d for d, _, _ in terms))
+        return den, [sum(den // d * sum(map(mul, flat, table[j])) for d, flat, table in terms)
+                     for j in range(factorial(r))]
+    slices = []
+    for k in range(r):
+        below: dict[Partition, Block] = {}
+        for lam, (den, rows) in blocks.items():
+            for ops in generators(lam)[0][k:r - 1]:
+                rows = _apply(rows, ops)
+                den *= ops[0]
+            for mu, offset, size in branches(lam):
+                block = [row[offset:offset + size] for row in rows[offset:offset + size]]
+                below[mu] = _add(below.get(mu), (den, block))
+        below = _nonzero(below)
+        slices.append(adjoint(below, r - 1) if below else (1, [0] * factorial(r - 1)))
+    den = lcm(*(d for d, _ in slices))
+    return den, [den // d * x for d, t in slices for x in t]
+
+
+def times_group_sums(parts: Partition, block: Block, stabilizer: list[tuple[list[int], int]]) -> Block | None:
+    """block · Π_B Σ_{g in S_B} χ(g)·g over stabilizer blocks B of 0-based positions.
+
+    Each group sum is the chain Π_j (I + χ·D(L_j)), L_j = Σ_{i<j in B} (i j).
+    On B = {1..m} the L_j are Jucys-Murphy elements, so column T is scaled by
+    Π_{2≤j≤m} (1 + χ·c_T(j)). On any other block each D((i j)) is the
+    palindrome D(s_{j-1})···D(s_i)···D(s_{j-1}), applied column by column.
+    """
+    _, right, contents = generators(parts)
+    den, rows = block
+    columns = [list(c) for c in zip(*rows)]
+    for positions, sign in stabilizer:
+        m = len(positions)
+        if positions[-1] == m - 1:
+            scales = [prod(1 + sign * c[j] for j in range(2, m + 1)) for c in contents]
+            columns = [column if s == 1 else [s * x for x in column] for s, column in zip(scales, columns)]
+            continue
+        acc: Block | None = (den, columns)
+        for n, j in enumerate(positions[1:], start=1):
+            total = acc
+            for i in positions[:n]:
+                d, term = acc
+                for g in (*range(j - 1, i, -1), *range(i, j)):
+                    term = _apply(term, right[g])
+                    d *= right[g][0]
+                total = _add(total, (d, term), sign)
+            acc = _reduced(total)
+            if acc is None:
+                return None
+        den, columns = acc
+    return _reduced((den, [list(row) for row in zip(*columns)]))

@@ -104,6 +104,10 @@ class YoungTableau:
     __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), (self.rows,)
+
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)
         shape = tuple(len(row) for row in rows)

@@ -63,6 +63,10 @@ class DenseTensor:
     dim: int
     coords: tuple[Rational, ...]
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), (self.order, self.dim, self.coords)
+
     def __post_init__(self):
         if self.order < 1 or self.dim < 1:
             raise ValueError(f"order and dim must be positive, got {self.order}, {self.dim}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from itertools import permutations as _words
 from math import factorial, gcd, lcm
@@ -19,8 +19,8 @@ from symcurv import (
     symmetric_group,
     young_symmetrizer,
 )
-from symcurv.dft import _descent_tree, _walk
-from symcurv.group_ring import _positions, _sorted_on, _stabilizer_blocks
+from symcurv.dft import _generators
+from symcurv.group_ring import _numerators, _positions, _sorted_on, _stabilizer_blocks
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.rationals import as_rational
 from symcurv.tensor import _slot_lookup
@@ -275,22 +275,105 @@ def module_rank(a, content):
     return basis.rank
 
 
+def _times_generator(m, gen):
+    """m . D(s_i) for a natural generator, column by column."""
+    out = []
+    for terms in gen:
+        if len(terms) == 1:
+            b, c = terms[0]
+            out.append(m[b] if c == 1 else tuple(c * v for v in m[b]))
+        else:
+            acc = [0] * len(m)
+            for b, c in terms:
+                acc = [u + c * v for u, v in zip(acc, m[b])]
+            out.append(tuple(acc))
+    return tuple(out)
+
+
+def _descent_tree(words):
+    """Every word's first-descent chain down to the identity, as child lists.
+
+    The parent of a word w with first descent i (w[i] > w[i+1], 0-based) is
+    w with those two entries swapped, that is w s_{i+1}, one inversion shorter.
+    """
+    seen = set()
+    children = {}
+    for w in words:
+        while w not in seen:
+            seen.add(w)
+            i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+            if i is None:
+                break
+            parent = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            children.setdefault(parent, []).append((i, w))
+            w = parent
+    return children
+
+
+def _walk(parts, f, children):
+    """(word, columns of the natural D(word)) over the identity and a descent tree, depth first.
+
+    A child's matrix is its parent's times one natural generator, so only the
+    matrices on the current path are alive.
+    """
+    gens = _generators(parts)
+    identity = tuple(tuple(int(i == j) for i in range(f)) for j in range(f))
+    stack = [(tuple(range(1, sum(parts) + 1)), identity, None)]
+    while stack:
+        w, m, i = stack.pop()
+        if i is not None:
+            m = _times_generator(m, gens[i])
+        yield w, m
+        stack.extend((child, m, j) for j, child in children.get(w, ()))
+
+
+def _tree_sum(shape, numerators, tree):
+    """Σ_w numerators[w]·D(w) over the walk of a descent tree, as natural integer columns."""
+    f = hook_dimension(shape)
+    acc = [[0] * f for _ in range(f)]
+    for w, m in _walk(shape, f, tree):
+        n = numerators.get(w)
+        if n:
+            for j, column in enumerate(m):
+                acc[j] = [u + n * v for u, v in zip(acc[j], column)]
+    return acc
+
+
 def descent_transform(a):
     """The Fourier transform summed over the whole support's descent tree, unfactored."""
     den = lcm(*(c.denominator for _, c in a.terms()))
     numerators = {p.images: int(c * den) for p, c in a.terms()}
     tree = _descent_tree(numerators)
-    blocks = []
-    for shape in partitions_of(a.degree):
-        f = hook_dimension(shape)
-        acc = [[0] * f for _ in range(f)]
-        for w, m in _walk(shape, f, tree):
-            n = numerators.get(w)
-            if n:
-                for j, column in enumerate(m):
-                    acc[j] = [u + n * v for u, v in zip(acc[j], column)]
-        blocks.append([[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)])
+    sums = [_tree_sum(shape, numerators, tree) for shape in partitions_of(a.degree)]
+    blocks = [[[as_rational(Fraction(x, den)) for x in row] for row in zip(*acc)] for acc in sums]
     return BlockMatrixImage(a.degree, blocks)
+
+
+def block_columns(a, shapes):
+    """Natural D_λ(a) per shape as integer columns over one common denominator.
+
+    The descent-tree walk that Clausen's recursion replaced, kept as its
+    oracle: a = a0 * Π_B Σ_{S_B} χ(g)·g over a's right stabilizer blocks, the
+    tree covers a0's support, and each group sum is the chain
+    Π_j (I + χ·Σ_{i<j} D((i j))), D((i j)) the palindrome s_{j-1}···s_i···s_{j-1}.
+    """
+    den, numerators = _numerators(a)
+    blocks = _stabilizer_blocks(numerators)
+    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
+    tree = _descent_tree(numerators)
+    out = []
+    for shape in shapes:
+        acc = _tree_sum(shape, numerators, tree)
+        for block, sign in blocks if any(map(any, acc)) else ():
+            for k, j in enumerate(block[1:], start=1):
+                total = acc
+                for i in block[:k]:
+                    word = (*range(j - 1, i, -1), *range(i, j))
+                    m = reduce(_times_generator, map(_generators(shape).__getitem__, word), acc)
+                    total = [[u + sign * v for u, v in zip(x, y)] for x, y in zip(total, m)]
+                acc = total
+        out.append(acc)
+    return out, den
 
 
 def backtrack_lr_coefficient(left, right, target):

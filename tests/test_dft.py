@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conftest import descent_transform, random_element, tabloid_solve_rep
+from conftest import block_columns, descent_transform, random_element, rank_test_elements, tabloid_solve_rep
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -23,7 +23,8 @@ from symcurv import (
     y_matrix,
     young_symmetrizer,
 )
-from symcurv.dft import MAX_TRANSFORM_WORK, _generators, _specht_matrix
+from symcurv import seminormal
+from symcurv.dft import MAX_TRANSFORM_WORK, _generators, _intertwiner, _specht_matrix, block_ranks
 from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 from symcurv.tensor import curvature_symmetrizer_star
@@ -219,6 +220,112 @@ def test_factored_transform_matches_descent_transform():
     assert any(_stabilizer_blocks({p.images: c for p, c in a.terms()}) for a in elements)
     for a in elements:
         assert fourier_transform(a) == descent_transform(a)
+
+
+def test_factored_transform_matches_factored_walk():
+    # the descent-tree walk with Jucys-Murphy chains of natural generators, which Clausen's recursion replaced
+    for a in factored_transform_inputs():
+        columns, den = block_columns(a, partitions_of(a.degree))
+        assert fourier_transform(a).blocks == tuple(
+            tuple(tuple(Fraction(x, den) for x in row) for row in zip(*c)) for c in columns)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_transform_and_block_ranks_match_descent_transform(r):
+    elements = rank_test_elements(random.Random(300 + r), r)
+    elements += [a for a in factored_transform_inputs() if a.degree == r]
+    shapes = partitions_of(r)
+    for a in elements:
+        image = descent_transform(a)
+        assert fourier_transform(a) == image
+        assert block_ranks(a, shapes) == [rank_of_rows(block) for block in image.blocks]
+        assert block_ranks(a, shapes[::-2]) == [rank_of_rows(image.block(s)) for s in shapes[::-2]]
+
+
+def test_dense_degree_7_round_trip_and_full_rank():
+    a = random_element(random.Random(7), 7)
+    assert a.support_size() > 4000
+    assert inverse_fourier(fourier_transform(a)) == a
+    assert a.right_ideal_rank() == factorial(7)
+
+
+def _seminormal_matrix(ops, f):
+    """The exact matrix of a generator's row operations, from their action on the identity."""
+    den, _ = ops
+    rows = seminormal._apply([[int(i == j) for j in range(f)] for i in range(f)], ops)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+SHAPES_UP_TO_6 = [shape for r in range(1, 7) for shape in partitions_of(r)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_6, ids=str)
+def test_seminormal_coxeter_relations(shape):
+    r, f = sum(shape), hook_dimension(shape)
+    left, right, _ = seminormal.generators(shape)
+    s = [None] + [_seminormal_matrix(ops, f) for ops in left]
+    one = identity_matrix(f)
+    for i in range(1, r):
+        # the transposed operations give the same matrix
+        assert tuple(zip(*_seminormal_matrix(right[i - 1], f))) == s[i]
+        assert mat_mul(s[i], s[i]) == one
+        if i + 1 < r:
+            st = mat_mul(s[i], s[i + 1])
+            assert mat_mul(st, mat_mul(st, st)) == one
+        for j in range(i + 2, r):
+            assert mat_mul(s[i], s[j]) == mat_mul(s[j], s[i])
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_jucys_murphy_elements_act_by_contents(r):
+    for shape in partitions_of(r):
+        f = hook_dimension(shape)
+        left, _, contents = seminormal.generators(shape)
+        s = [None] + [_seminormal_matrix(ops, f) for ops in left]
+        for j in range(2, r + 1):
+            total = [[0] * f for _ in range(f)]
+            for i in range(1, j):
+                # (i j) as the palindrome s_{j-1}···s_i···s_{j-1}
+                m = identity_matrix(f)
+                for k in (*range(j - 1, i, -1), *range(i, j)):
+                    m = mat_mul(m, s[k])
+                total = [[x + y for x, y in zip(p, q)] for p, q in zip(total, m)]
+            assert total == [[contents[t][j] if t == u else 0 for u in range(f)] for t in range(f)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_7, ids=str)
+def test_intertwiner_carries_seminormal_to_natural(shape):
+    f = hook_dimension(shape)
+    p, p_den, q, q_den = _intertwiner(shape)
+    assert all(p[i][i] == p_den and not any(p[j][i] for j in range(i + 1, f)) for i in range(f))
+    assert mat_mul(p, q) == tuple(tuple(p_den * q_den * int(i == j) for j in range(f)) for i in range(f))
+    for gen, ops in zip(_generators(shape), seminormal.generators(shape)[0]):
+        natural = [[0] * f for _ in range(f)]
+        for a, column in enumerate(gen):
+            for b, c in column:
+                natural[b][a] = c
+        assert mat_mul(p, _seminormal_matrix(ops, f)) == mat_mul(natural, p)
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_7[1:], ids=str)
+def test_branches_are_runs_in_the_smaller_shapes_order(shape):
+    r = sum(shape)
+    tableaux = standard_tableaux(shape)
+    runs = seminormal.branches(shape)
+    assert sum(size for _, _, size in runs) == len(tableaux)
+    for mu, offset, size in runs:
+        smaller = [tuple(filter(None, (tuple(v for v in row if v != r) for row in t.rows)))
+                   for t in tableaux[offset:offset + size]]
+        assert smaller == [t.rows for t in standard_tableaux(mu)]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_recursion_order_groups_words_by_last_entry(r):
+    order = seminormal.recursion_order(r)
+    assert sorted(order) == list(range(factorial(r)))
+    group = symmetric_group(r)
+    step = factorial(r - 1)
+    assert all(group[k].images[-1] == j // step + 1 for j, k in enumerate(order))
 
 
 def test_transform_work_bound_admits_dense_degree_7():

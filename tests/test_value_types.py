@@ -1,5 +1,7 @@
-"""The contract shared by the package's value types: immutable, equal by value, hashable."""
+"""The contract shared by the package's value types: immutable, equal by value, hashable, picklable."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -46,6 +48,17 @@ def test_equal_values_hash_equal(name):
     assert first == second and not first != second
     assert hash(first) == hash(second)
     assert len({first, second}) == 1
+
+
+@pytest.mark.parametrize("name", list(EQUAL_PAIRS))
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_value_types_pickle_and_copy(name, duplicate):
+    for value in EQUAL_PAIRS[name]:
+        twin = duplicate(value)
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert all(getattr(twin, field) == getattr(value, field) for field in FIELDS[name])
 
 
 def test_values_of_different_types_are_unequal():
