@@ -37,6 +37,21 @@ def _rational_arg(text: str) -> Rational:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with "--nu -2/3" written as "--nu=-2/3", and the same for --xi-nu.
+
+    argparse takes a token that starts with "-" and is not a plain number for
+    an option, so it would refuse a negative fraction given after its option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--nu", "--xi-nu") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _partition_arg(text: str):
     try:
         return validate_partition([int(v) for v in text.replace(",", " ").split()])
@@ -245,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
     handlers = {
         "symmetrizer": _cmd_symmetrizer,
         "lr": _cmd_lr,

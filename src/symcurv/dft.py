@@ -27,7 +27,15 @@ leaves that form. In its normalization one upper unitriangular
 intertwiner P per shape carries it to the natural form,
 D_nat(p) P = P D_sn(p); P and P^{-1} come from two recursions on the
 natural generators, with no solve, and fourier_transform,
-natural_rep_matrix and inverse_fourier pass through them.
+natural_rep_matrix and inverse_fourier pass through them, each as two
+integer products by linalg.int_mat_mul on numerators over one
+denominator.
+
+The product of two images, @, multiplies block by block with
+linalg.mat_mul, which is exact on integer numerators too. Block sizes
+are read from one table of hook dimensions per degree (_block_sizes, at
+most MAX_DEGREE entries), shared by the BlockMatrixImage constructors,
+the zero blocks of a transform and the work bound.
 
 An element is transformed the way it is multiplied: its right stabilizer
 group sums are split off, the recursion covers the rest of its support,
@@ -43,13 +51,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg, seminormal
 from .group_ring import (MAX_DEGREE, GroupRingElement, _numerators, _require_degree, _sorted_on,
                          _stabilizer_blocks)
-from .linalg import Matrix
+from .linalg import Matrix, int_mat_mul
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
 from .seminormal import Block, Rows
@@ -77,6 +84,12 @@ def _checked_shape(parts: Sequence[int]) -> Partition:
         raise ValueError(
             f"shape {format_partition(parts)} of weight {sum(parts)} exceeds the degree cap {MAX_DEGREE}")
     return parts
+
+
+@lru_cache(maxsize=MAX_DEGREE)
+def _block_sizes(degree: int) -> dict[Partition, int]:
+    """The hook dimension f_λ of every partition λ of the degree, in partitions_of order."""
+    return {shape: hook_dimension(shape) for shape in partitions_of(degree)}
 
 
 def _coefficient(row_of: Sequence[int], columns: Sequence[Sequence[int]]) -> int:
@@ -192,7 +205,9 @@ def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list
     den, numerators = _numerators(a)
     stabilizer = _stabilizer_blocks(numerators)
     numerators = {w: n for w, n in numerators.items() if _sorted_on(w, stabilizer)}
-    _require_work(_descent_words(numerators), [hook_dimension(shape) for shape in shapes])
+    # a shape that is not a partition of the degree goes through hook_dimension's checks
+    sizes = _block_sizes(a.degree)
+    _require_work(_descent_words(numerators), [sizes.get(s) or hook_dimension(s) for s in shapes])
     values = [0] * factorial(a.degree)
     rank = _rank_table(a.degree)
     for w, n in numerators.items():
@@ -249,18 +264,13 @@ def _intertwiner(parts: Partition) -> tuple[Rows, int, Rows, int]:
     return [list(row) for row in zip(*columns)], p, q_rows, q
 
 
-def _mat_mul(a: Rows, b: Rows) -> Rows:
-    columns = list(zip(*b))
-    return [[sum(map(mul, row, column)) for column in columns] for row in a]
-
-
 def _natural(parts: Partition, block: Block | None) -> list[list[Rational]]:
     """The natural-basis matrix P·M·P^{-1} of a seminormal block M, as exact rationals."""
     if block is None:
-        return linalg.zero_matrix(hook_dimension(parts))
+        return linalg.zero_matrix(_block_sizes(sum(parts))[parts])
     p, p_den, q, q_den = _intertwiner(parts)
     den = block[0] * p_den * q_den
-    rows = _mat_mul(_mat_mul(p, block[1]), q)
+    rows = int_mat_mul(int_mat_mul(p, block[1]), q)
     return [[Fraction(x, den) if x % den else x // den for x in row] for row in rows]
 
 
@@ -292,12 +302,11 @@ class BlockMatrixImage:
 
     def __post_init__(self):
         _require_degree(self.degree)
-        shapes = partitions_of(self.degree)
+        sizes = _block_sizes(self.degree)
         blocks = tuple(linalg.matrix(b) for b in self.blocks)
-        if len(blocks) != len(shapes):
-            raise ValueError(f"expected {len(shapes)} blocks for degree {self.degree}")
-        for shape, block in zip(shapes, blocks):
-            d = hook_dimension(shape)
+        if len(blocks) != len(sizes):
+            raise ValueError(f"expected {len(sizes)} blocks for degree {self.degree}")
+        for (shape, d), block in zip(sizes.items(), blocks):
             if len(block) != d or any(len(row) != d for row in block):
                 raise ValueError(f"block for {shape} must be {d}x{d}")
         object.__setattr__(self, "blocks", blocks)
@@ -305,16 +314,14 @@ class BlockMatrixImage:
     @classmethod
     def one(cls, degree: int) -> "BlockMatrixImage":
         _require_degree(degree)
-        return cls(degree, [linalg.identity_matrix(hook_dimension(s)) for s in partitions_of(degree)])
+        return cls(degree, [linalg.identity_matrix(d) for d in _block_sizes(degree).values()])
 
     @classmethod
     def from_single_block(cls, degree: int, parts: Sequence[int], block: Matrix) -> "BlockMatrixImage":
         _require_degree(degree)
         parts = validate_partition(parts)
-        blocks = [
-            linalg.matrix(block) if shape == parts else linalg.zero_matrix(hook_dimension(shape))
-            for shape in partitions_of(degree)
-        ]
+        blocks = [linalg.matrix(block) if shape == parts else linalg.zero_matrix(d)
+                  for shape, d in _block_sizes(degree).items()]
         return cls(degree, blocks)
 
     def block(self, parts: Sequence[int]) -> Matrix:
@@ -325,6 +332,7 @@ class BlockMatrixImage:
         return self.blocks[shapes.index(parts)]
 
     def __matmul__(self, other: "BlockMatrixImage") -> "BlockMatrixImage":
+        """The blockwise product, each block by linalg.mat_mul on integer numerators."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return BlockMatrixImage(
@@ -374,7 +382,7 @@ def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
         p, p_den, q, q_den = _intertwiner(shape)
         den = lcm(*(x.denominator for row in block for x in row))
         rows = [[int(len(block) * den * x) for x in row] for row in block]
-        blocks[shape] = (den * p_den * q_den, _mat_mul(_mat_mul(q, rows), p))
+        blocks[shape] = (den * p_den * q_den, int_mat_mul(int_mat_mul(q, rows), p))
     den, totals = seminormal.adjoint(blocks, degree) if blocks else (1, [0] * factorial(degree))
     coeffs = [0] * len(totals)
     for k, t in zip(seminormal.recursion_order(degree), totals):

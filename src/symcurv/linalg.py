@@ -7,15 +7,23 @@ nonzeros. Each row is cleared of denominators and divided by the gcd of
 its entries, then reduced incrementally against the basis found so far,
 in insertion order; the basis keeps primitive integer rows as
 {column: int} dicts, each with its pivot, the lowest nonzero column.
+
+Matrices are tuples of rows of exact scalars. Products run on integer
+numerators: mat_mul brings each factor over one denominator, the lcm of
+its entries' denominators, multiplies the integer rows with int_mat_mul
+(the one matrix product in the package, which dft calls directly on its
+integer blocks) and divides each entry of the result once, so an
+integral entry comes out as an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .rationals import Rational, as_rational
+from .rationals import Rational, as_rational, as_rationals
 
 Entries = Iterable[tuple[int, Rational]]
 
@@ -115,12 +123,31 @@ def mat_scale(c: Rational, a: Matrix) -> Matrix:
     return tuple(tuple(as_rational(c * x) for x in row) for row in a)
 
 
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices given as rows; the shapes are the caller's to match."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+
+
+def _over_one_denominator(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
+    """(d, N) with a = N/d, d the lcm of the entries' denominators; raises on a non-rational entry."""
+    rows = [as_rationals(row) for row in a]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(as_rational(sum(x * y for x, y in zip(row, col))) for col in bt)
-        for row in a
-    )
+    """a @ b, exact: one integer product of the numerators, then one division per entry."""
+    a_den, a_rows = _over_one_denominator(a)
+    b_den, b_rows = _over_one_denominator(b)
+    inner, width = len(b_rows), len(b_rows[0]) if b_rows else 0
+    if any(len(row) != width for row in b_rows):
+        raise ValueError("the rows of the right factor differ in length")
+    if any(len(row) != inner for row in a_rows):
+        raise ValueError(f"the rows of the left factor must have length {inner}, the right factor's height")
+    den = a_den * b_den
+    return tuple(tuple(Fraction(x, den) if x % den else x // den for x in row)
+                 for row in int_mat_mul(a_rows, b_rows))
 
 
 def mat_transpose(a: Matrix) -> Matrix:

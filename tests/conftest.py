@@ -34,6 +34,14 @@ def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
     )
 
 
+def sparse_element(rng, degree: int, support: int) -> GroupRingElement:
+    """At most support terms on seeded permutations, with small seeded coefficients."""
+    return GroupRingElement.from_terms(
+        degree, [(rng.choice(symmetric_group(degree)),
+                  Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+                 for _ in range(support)])
+
+
 def scanned_stabilizer_symmetrizer(degree: int, fixed, signed: bool = False) -> GroupRingElement:
     """Every permutation of S_degree fixing the listed positions, found by a scan."""
     coeffs = [0] * factorial(degree)
@@ -446,3 +454,15 @@ def sorted_standard_tableaux(parts):
 
     place(1, [[] for _ in parts])
     return tuple(sorted(results, key=lambda t: tuple(-t.row_of(k) for k in range(r, 0, -1))))
+
+
+def fraction_mat_mul(a, b):
+    """a @ b one entry at a time in Fractions, each entry normalized on its own.
+
+    The product that integer-numerator mat_mul replaced, kept as its oracle.
+    """
+    bt = list(zip(*b))
+    return tuple(
+        tuple(as_rational(sum(x * y for x, y in zip(row, col))) for col in bt)
+        for row in a
+    )

@@ -76,6 +76,40 @@ def test_xi_rejects_bad_rational(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (["xi", "--nu", "-2/3"], ["xi", "--nu=-2/3"]),
+    (["xi", "--nu", "-2/3", "--json"], ["xi", "--nu=-2/3", "--json"]),
+    (["xi", "--json", "--nu", "-5/2"], ["xi", "--json", "--nu=-5/2"]),
+    (["rank", "--xi-nu", "-2/3", "--dim", "3"], ["rank", "--xi-nu=-2/3", "--dim", "3"]),
+    (["rank", "--dim", "2", "--xi-nu", "-1/7"], ["rank", "--dim", "2", "--xi-nu=-1/7"]),
+])
+def test_negative_fraction_after_its_option(capsys, monkeypatch, spaced, joined):
+    expected = run_cli(capsys, *joined)
+    assert expected[0] == 0 and expected[1] and not expected[2]
+    assert run_cli(capsys, *spaced) == expected
+    # the same through sys.argv, as the entry point reads it
+    monkeypatch.setattr("sys.argv", ["symcurv", *spaced])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--nu", "-x"],
+    ["xi", "--nu", "-2/0"],
+    ["xi", "--nu", "--json"],
+    ["xi", "--nu=-pi"],
+    ["rank", "--xi-nu", "-1/3/4", "--dim", "3"],
+    ["rank", "--xi-nu", "--dim", "3"],
+])
+def test_option_value_that_is_not_a_rational_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--" in captured.err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

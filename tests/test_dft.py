@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from conftest import block_columns, descent_transform, random_element, rank_test_elements, tabloid_solve_rep
+from conftest import (block_columns, descent_transform, random_element, rank_test_elements, sparse_element,
+                      tabloid_solve_rep)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -172,6 +173,11 @@ def test_transform_is_multiplicative():
         for _ in range(10):
             a = random_element(rng, r, span=2)
             b = random_element(rng, r, span=2)
+            assert fourier_transform(a * b) == fourier_transform(a) @ fourier_transform(b)
+    # the benchmark's degrees, on sparse elements like its own
+    for r, support, pairs in ((5, 6, 6), (6, 4, 3)):
+        for _ in range(pairs):
+            a, b = sparse_element(rng, r, support), sparse_element(rng, r, support)
             assert fourier_transform(a * b) == fourier_transform(a) @ fourier_transform(b)
 
 

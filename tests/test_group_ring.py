@@ -6,7 +6,8 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer
+from conftest import (module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer,
+                      sparse_element)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -272,13 +273,6 @@ def direct_product(a, b):
     """a * b as the double loop over the terms of both factors."""
     return GroupRingElement.from_terms(
         a.degree, [(p * q, cp * cq) for p, cp in a.terms() for q, cq in b.terms()])
-
-
-def sparse_element(rng, degree, support):
-    return GroupRingElement.from_terms(
-        degree, [(rng.choice(symmetric_group(degree)),
-                  Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
-                 for _ in range(support)])
 
 
 def group_sum(degree, block, signed=False):

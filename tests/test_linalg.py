@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import DenseRowBasis, solve_columns
+from conftest import DenseRowBasis, fraction_mat_mul, solve_columns
 from symcurv import linalg
 from symcurv.linalg import (
     RowBasis,
@@ -118,6 +119,55 @@ def test_trace_of_product_matches_full_product():
     b = matrix([[0, 1], [Fraction(2, 7), 4]])
     full = mat_mul(a, b)
     assert trace_of_product(a, b) == full[0][0] + full[1][1]
+
+
+def _random_matrix(rng, rows, cols, zeros=False):
+    if zeros:
+        return tuple((0,) * cols for _ in range(rows))
+    return matrix([[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7, 12]))
+                    for _ in range(cols)] for _ in range(rows)])
+
+
+def _mat_mul_cases():
+    rng = random.Random(17)
+    shapes = [(1, 1, 1), (2, 2, 2), (5, 5, 5), (16, 16, 16), (1, 3, 1), (3, 1, 4), (2, 5, 3), (6, 2, 1)]
+    for n, k, m in shapes:
+        yield _random_matrix(rng, n, k), _random_matrix(rng, k, m)
+        yield _random_matrix(rng, n, k, zeros=True), _random_matrix(rng, k, m)
+        yield _random_matrix(rng, n, k), _random_matrix(rng, k, m, zeros=True)
+        # integral products: an integer factor times a fractional one, or den·I times a
+        a = _random_matrix(rng, k, m)
+        den = lcm(*(x.denominator for row in a for x in row))
+        yield matrix([[rng.randint(-5, 5) * den for _ in range(k)] for _ in range(n)]), a
+        yield matrix([[den if i == j else 0 for j in range(k)] for i in range(k)]), a
+    yield identity_matrix(4), identity_matrix(4)
+    yield (), ()
+
+
+def test_mat_mul_matches_fraction_oracle():
+    integral = 0
+    for a, b in _mat_mul_cases():
+        product, expected = mat_mul(a, b), fraction_mat_mul(a, b)
+        assert product == expected
+        assert [list(map(type, row)) for row in product] == [list(map(type, row)) for row in expected]
+        assert not any(isinstance(x, Fraction) and x.denominator == 1 for row in product for x in row)
+        integral += bool(product) and all(isinstance(x, int) for row in product for x in row)
+    assert integral >= 16
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2, 3),), ((1,), (2,)))  # inner dimensions 3 and 2
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1,), (2, 3)))  # ragged right factor
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2), (3,)), ((1,), (2,)))  # ragged left factor
+
+
+@pytest.mark.parametrize("a,b", [(((0.5,),), ((1,),)), (((1,),), ((2.0,),)), (((True,),), ((1,),))])
+def test_mat_mul_rejects_floats_and_bools(a, b):
+    with pytest.raises(TypeError):
+        mat_mul(a, b)
 
 
 def test_transpose_identity():
