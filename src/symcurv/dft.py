@@ -205,9 +205,8 @@ def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list
     den, numerators = _numerators(a)
     stabilizer = _stabilizer_blocks(numerators)
     numerators = {w: n for w, n in numerators.items() if _sorted_on(w, stabilizer)}
-    # a shape that is not a partition of the degree goes through hook_dimension's checks
     sizes = _block_sizes(a.degree)
-    _require_work(_descent_words(numerators), [sizes.get(s) or hook_dimension(s) for s in shapes])
+    _require_work(_descent_words(numerators), [sizes[s] for s in shapes])
     values = [0] * factorial(a.degree)
     rank = _rank_table(a.degree)
     for w, n in numerators.items():
@@ -360,7 +359,11 @@ def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
 
 
 def block_ranks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[int]:
-    """rank D_λ(a) for each listed shape, read off the seminormal blocks."""
+    """rank D_λ(a) for each listed shape, a partition of a's degree, read off the seminormal blocks."""
+    shapes = [tuple(shape) for shape in shapes]
+    for shape in shapes:
+        if shape not in _block_sizes(a.degree):
+            raise ValueError(f"shape {list(shape)} is not a partition of the degree {a.degree}")
     return [0 if block is None else linalg.rank_of_rows(block[1]) for block in _seminormal_blocks(a, shapes)]
 
 

@@ -116,6 +116,8 @@ def zero_matrix(d: int) -> Matrix:
 # traces them by name and its self-test requires every target it names;
 # they go when the benchmark drops them.
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise ValueError("the summands differ in shape")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -156,6 +158,8 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def trace_of_product(a: Matrix, b: Matrix) -> Rational:
     """trace(a @ b) without forming the product."""
+    if any(len(row) != len(b) for row in a) or any(len(row) != len(a) for row in b):
+        raise ValueError(f"need an m x n and an n x m matrix, got heights {len(a)} and {len(b)}")
     total = sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
     return as_rational(Fraction(total))
 

@@ -9,11 +9,18 @@ composition order.
 
 On a tensor at least half nonzero, a acts the way it multiplies: its
 right-stabilizer group sums first, as Jucys-Murphy chains, then the rest
-of its terms one by one (apply_operator). On a sparser tensor each term
-of a scatters only the tensor's nonzeros, and tensor_product writes only
-products of nonzeros: on sparse tensors the interpreted loops grow with
-the support, and only C-speed passes (allocation, the nonzero filter,
-the constructor's type scan) touch all dim ** order coordinates.
+of its terms one by one (apply_operator). On a sparser tensor a acts
+through compiled columns (_Columns): the image of each coordinate vector,
+with a's terms merged by output and the cancelling ones dropped. Two
+terms merge exactly when they differ by a permutation fixing the
+coordinate's equal-entry pattern, the splitting of V^{⊗r} into
+permutation modules M^μ (Sagan, The Symmetric Group, 2nd ed., §2.1), so
+each pattern's merge is worked out once. A column is built the first time
+its coordinate is met and kept per (operator, dim), for at most 16
+operators of at most _COMPILED_CELLS cells each. tensor_product writes
+only products of nonzeros: on sparse tensors the interpreted loops grow
+with the support, and only C-speed passes (allocation, the nonzero
+filter, the constructor's type scan) touch all dim ** order coordinates.
 
 Public indices are 1-based, matching the rest of the package.
 """
@@ -27,6 +34,7 @@ from functools import lru_cache
 from itertools import compress
 from itertools import permutations as _words
 from itertools import product as _cartesian
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dft import block_ranks
@@ -229,23 +237,106 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
     return tuple(flats)
 
 
+# Cells one compiled operator keeps: one per stored pattern or column, plus
+# one per merged term or output index in it. Past it the operator drops all
+# it holds and rebuilds as coordinates come back.
+_COMPILED_CELLS = 1 << 14
+
+
+class _Columns(dict):
+    """The action of a on the coordinate basis of one dim, built as coordinates are met.
+
+    Maps the flat index j of a coordinate to (coefficients, outputs), with
+    a·e_j = Σ c·e_i over the pairs (c, i) they zip to: each output index
+    appears once and every c is nonzero. Terms p, p' of a send e_j to the
+    same e_i exactly when p'p^{-1} fixes j's equal-entry pattern, so a's
+    terms are merged by output once per pattern, the merged terms that
+    cancel are dropped, and every coordinate of that pattern shares the
+    coefficients: y* on order-5 dim-3 coordinates merges its 48 terms into
+    9.2 outputs on average, and 33 of the 243 coordinates have none.
+    """
+
+    def __init__(self, a: GroupRingElement, dim: int):
+        super().__init__()
+        self.a, self.order, self.dim = a, a.degree, dim
+        # slot k of e_j lands in slot p(k) of a's output, where a digit weighs weight[p(k)]
+        self.weight = [dim ** (a.degree - image) for image in range(a.degree + 1)]
+        self.patterns: dict[tuple[int, ...], tuple] = {}
+        self.cells = 0
+
+    def __missing__(self, j: int) -> tuple[tuple[Rational, ...], tuple[int, ...]]:
+        digits = [0] * self.order
+        rest = j
+        for k in reversed(range(self.order)):
+            rest, digits[k] = divmod(rest, self.dim)
+        weigh = self.weight.__getitem__
+        pattern = tuple(map(digits.index, digits))  # each slot names the first slot equal to it
+        merged = self.patterns.get(pattern)
+        if merged is None:
+            # terms with one output on this coordinate have one output on every coordinate of its pattern
+            sums: dict[int, Rational] = {}
+            words: dict[int, tuple[int, ...]] = {}
+            coeffs = self.a.coeffs
+            for word, c in compress(zip(_rank_table(self.order), coeffs), coeffs):
+                i = sum(map(mul, digits, map(weigh, word)))
+                words.setdefault(i, word)
+                sums[i] = sums.get(i, 0) + c
+            kept = [i for i, c in sums.items() if c]
+            merged = (tuple(as_rational(sums[i]) for i in kept), tuple(words[i] for i in kept))
+            self._keep(self.patterns, pattern, merged)
+        coefficients, words = merged
+        column = (coefficients, tuple(sum(map(mul, digits, map(weigh, word))) for word in words))
+        self._keep(self, j, column)
+        return column
+
+    def _keep(self, table: dict, key, value: tuple[tuple, tuple]) -> None:
+        """Store one pattern or column, first dropping everything held if the budget would pass."""
+        cells = 1 + len(value[0])
+        if self.cells + cells > _COMPILED_CELLS:
+            self.clear()
+            self.patterns.clear()
+            self.cells = 0
+        if cells <= _COMPILED_CELLS:
+            table[key] = value
+            self.cells += cells
+
+
+@lru_cache(maxsize=16)
+def _compiled_action(a: GroupRingElement, dim: int) -> _Columns:
+    """a's columns on the coordinates of order-a.degree tensors of this dim."""
+    return _Columns(a, dim)
+
+
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
+
+    On a tensor with fewer than half its coordinates nonzero, each nonzero
+    v at coordinate j adds c·v to the output coordinates i of j's column
+    (_Columns): a's terms merged by output, the cancelling ones dropped.
+    A column is built the first time its coordinate is met and kept per
+    (a, dim), for at most 16 operators of at most _COMPILED_CELLS cells
+    each, so a repeated call costs one scatter per surviving output.
 
     On a tensor with at least half its coordinates nonzero, a is split as
     in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over its right stabilizer
     blocks, and since (a*b)T = a(bT) each group sum acts first as its
     Jucys-Murphy chain, one transposition scatter per term. Every term of
     a0 then scatters the nonzeros of the result through its slot table.
-    A sparser tensor skips the split, which would only grow its support,
-    so its work is (terms of a) x (nonzeros of T), plus one pass over
-    T's coordinates to find them.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
     order, dim, coords = t.order, t.dim, t.coords
+    out = [0] * len(coords)
+    if 2 * coords.count(0) > len(coords):
+        columns = _compiled_action(a, dim)
+        for j in compress(range(len(coords)), coords):
+            v = coords[j]
+            coefficients, outputs = columns[j]
+            for c, i in zip(coefficients, outputs):
+                out[i] += c * v
+        return DenseTensor(order, dim, out)
     terms = dict(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
-    blocks = _stabilizer_blocks(terms) if 2 * coords.count(0) <= len(coords) else []
+    blocks = _stabilizer_blocks(terms)
     if blocks:
         identity = tuple(range(1, order + 1))
 
@@ -255,7 +346,6 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
         for block, sign in blocks:
             coords = _times_block_sum(coords, block, sign, swap)
         terms = {w: c for w, c in terms.items() if _sorted_on(w, blocks)}
-    out = [0] * len(coords)
     support = list(compress(enumerate(coords), coords))
     for images, c in terms.items():
         lookup = _slot_lookup(images, order, dim)

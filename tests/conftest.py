@@ -69,8 +69,8 @@ def random_tensor(rng, order: int, dim: int, span: int = 3) -> DenseTensor:
 def direct_apply(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """a acting on T by scattering every nonzero of T through each term's slot table.
 
-    The unfactored action that apply_operator's stabilizer chains replaced,
-    kept as its oracle.
+    The unfactored, unmerged action that apply_operator's stabilizer chains
+    and compiled columns replaced, kept as their oracle.
     """
     out = [0] * len(t.coords)
     support = [(j, v) for j, v in enumerate(t.coords) if v]

@@ -248,6 +248,13 @@ def test_transform_and_block_ranks_match_descent_transform(r):
         assert block_ranks(a, shapes[::-2]) == [rank_of_rows(image.block(s)) for s in shapes[::-2]]
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (1,), (3, 2), (2, 3, 1), (0, 4), (4, 0)])
+def test_block_ranks_refuses_shapes_of_another_degree(shape):
+    with pytest.raises(ValueError, match=rf"shape \[{', '.join(map(str, shape))}\] is not a partition of the degree 4"):
+        block_ranks(GroupRingElement.identity(4), [(4,), shape])
+    assert block_ranks(GroupRingElement.identity(4), [[3, 1], (4,)]) == [3, 1]
+
+
 def test_dense_degree_7_round_trip_and_full_rank():
     a = random_element(random.Random(7), 7)
     assert a.support_size() > 4000

@@ -9,6 +9,7 @@ from symcurv import linalg
 from symcurv.linalg import (
     RowBasis,
     identity_matrix,
+    mat_add,
     mat_mul,
     mat_transpose,
     matrix,
@@ -119,6 +120,21 @@ def test_trace_of_product_matches_full_product():
     b = matrix([[0, 1], [Fraction(2, 7), 4]])
     full = mat_mul(a, b)
     assert trace_of_product(a, b) == full[0][0] + full[1][1]
+
+
+def test_trace_of_product_and_mat_add_reject_mismatched_shapes():
+    with pytest.raises(ValueError):
+        trace_of_product(((1, 2, 3),), ((1,), (2,)))  # 1 x 3 times 2 x 1
+    with pytest.raises(ValueError):
+        trace_of_product(((1, 2),), ((1,), (2, 3)))  # ragged right factor
+    with pytest.raises(ValueError):
+        trace_of_product(((1, 2), (3,)), ((1, 2), (3, 4)))  # ragged left factor
+    with pytest.raises(ValueError):
+        mat_add(((1, 2),), ((1,),))  # row lengths 2 and 1
+    with pytest.raises(ValueError):
+        mat_add(((1,), (2,)), ((1,),))  # heights 2 and 1
+    assert trace_of_product(((1, 2, 3),), ((1,), (2,), (3,))) == 14
+    assert mat_add(((1, 2),), ((3, Fraction(1, 2)),)) == ((4, Fraction(5, 2)),)
 
 
 def _random_matrix(rng, rows, cols, zeros=False):

@@ -17,6 +17,7 @@ from conftest import (
     random_symmetric3,
     random_tensor,
     rank_test_elements,
+    sparse_element,
 )
 from symcurv import (
     DenseTensor,
@@ -44,6 +45,8 @@ from symcurv import (
 )
 from symcurv.linalg import RowBasis
 from symcurv.tensor import (
+    _COMPILED_CELLS,
+    _compiled_action,
     _curvature_annihilators,
     _slot_lookup,
     _slot_sum,
@@ -210,10 +213,100 @@ def test_apply_operator_matches_direct_scatter(order):
 
 def test_slot_lookup_cache_is_bounded():
     # one table per (permutation, order, dim): 130 dims at order 1 are 130 keys
+    # (dense tensors, as only the dense path reads slot tables)
     for dim in range(1, 131):
-        t = DenseTensor.basis(1, dim, (dim,))
+        t = DenseTensor(1, dim, range(1, dim + 1))
         assert apply_operator(GroupRingElement.identity(1), t) == t
     assert _slot_lookup.cache_info().currsize <= 128
+
+
+def _sparse_operators(order):
+    """Operators with Fraction coefficients, and ones whose terms cancel on repeated entries."""
+    rng = random.Random(40 + order)
+    ops = [GroupRingElement.zero(order), GroupRingElement.identity(order)]
+    ops += [sparse_element(rng, order, support) for support in (2, 4)]
+    if order >= 2:
+        swap = GroupRingElement.from_permutation(Permutation.parse("(1 2)", order))
+        one = GroupRingElement.identity(order)
+        ops += [one - swap.scale(Fraction(3, 2))]
+        # an antisymmetrizer kills every index with two equal entries on its slots
+        ops += [one.times_group_sum(range(1, min(order, 3) + 1), signed=True),
+                one.times_group_sum(range(1, order + 1), signed=True)]
+    if order == 5:
+        ops += [curvature_symmetrizer_star(1), sigma_element(Fraction(-2, 3), -1, True)]
+    return ops
+
+
+def _sparse_tensors(order, dim):
+    """Tensors with fewer than half their coordinates nonzero, the most such ones included."""
+    rng = random.Random(10 * order + dim)
+    size = dim ** order
+    most = (size - 1) // 2  # the most nonzeros that keep the sparse path
+
+    def keep(count, values):
+        kept = set(rng.sample(range(size), count))
+        return DenseTensor(order, dim, [rng.choice(values) if k in kept else 0 for k in range(size)])
+
+    return [
+        keep(most, (-3, -2, -1, 1, 2, 3)),
+        keep(most, (Fraction(1, 2), Fraction(-2, 3), 1, -1)),
+        keep(max(1, size // 10) if most else 0, (-2, 1, 3)),
+        DenseTensor.basis(order, dim, [rng.randint(1, dim) for _ in range(order)]) if most else
+        DenseTensor.zero(order, dim),
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_compiled_action_matches_direct_scatter_with_a_warm_cache(order):
+    for dim in (1, 2, 3, 4):
+        ops, tensors = _sparse_operators(order), _sparse_tensors(order, dim)
+        if dim ** order > 1024:
+            # the oracle's Fraction sums over thousands of coordinates take tens of
+            # seconds, so there the operators are the few-term ones
+            ops = [a for a in ops if sum(1 for c in a.coeffs if c) <= 6]
+        expected = [[_typed(direct_apply(a, t)) for a in ops] for t in tensors]
+        for _ in range(3):  # the first round builds the columns, the later ones reuse them
+            for t, images in zip(tensors, expected):
+                assert [_typed(apply_operator(a, t)) for a in ops] == images
+
+
+def test_compiled_columns_are_merged_and_cancellation_free():
+    ystar = curvature_symmetrizer_star(1)
+    basis = coordinate_basis(5, 3)
+    images = [apply_operator(ystar, b) for b in basis]
+    assert sum(image.is_zero() for image in images) == 33
+    columns = _compiled_action(ystar, 3)
+    outputs = 0
+    for j, (b, image) in enumerate(zip(basis, images)):
+        assert image == direct_apply(ystar, b)
+        coefficients, indices = columns[j]
+        assert len(set(indices)) == len(indices) == len(coefficients)
+        assert all(coefficients)
+        assert sorted(indices) == [i for i, c in enumerate(image.coords) if c]
+        outputs += len(indices)
+    assert outputs == 2232  # 48 terms merge into 9.2 outputs per coordinate on average
+
+
+def test_compiled_action_cache_is_bounded():
+    # more distinct operators than the cache holds, on a sparse tensor
+    t = DenseTensor.basis(3, 3, (1, 2, 2))
+    maxsize = _compiled_action.cache_info().maxsize
+    swap = GroupRingElement.from_permutation(Permutation.parse("(2 3)", 3))
+    for k in range(maxsize + 8):
+        a = GroupRingElement.identity(3) + swap.scale(k + 1)
+        assert apply_operator(a, t) == direct_apply(a, t)
+        assert _compiled_action.cache_info().currsize <= maxsize
+    # one operator met on more coordinates than its cells allow drops what it holds
+    rng = random.Random(77)
+    size = 8 ** 5
+    kept = set(rng.sample(range(size), size // 2 - 1))
+    t = DenseTensor(5, 8, [rng.randint(1, 3) if k in kept else 0 for k in range(size)])
+    a = _slot_sum(5, ("(2 4 3)", 4), ("(1 2 4 3)", -4), ("(1 2 3)", 4), ("(2 3)", -4))
+    assert apply_operator(a, t) == direct_apply(a, t)
+    columns = _compiled_action(a, 8)
+    held = sum(1 + len(c) for c, _ in columns.values()) + sum(1 + len(c) for c, _ in columns.patterns.values())
+    assert held == columns.cells <= _COMPILED_CELLS
+    assert len(columns) < len(kept)
 
 
 # -- frame evaluation ---------------------------------------------------------
