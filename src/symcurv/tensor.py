@@ -9,18 +9,13 @@ composition order.
 
 On a tensor at least half nonzero, a acts the way it multiplies: its
 right-stabilizer group sums first, as Jucys-Murphy chains, then the rest
-of its terms one by one (apply_operator). On a sparser tensor a acts
-through compiled columns (_Columns): the image of each coordinate vector,
-with a's terms merged by output and the cancelling ones dropped. Two
-terms merge exactly when they differ by a permutation fixing the
-coordinate's equal-entry pattern, the splitting of V^{⊗r} into
-permutation modules M^μ (Sagan, The Symmetric Group, 2nd ed., §2.1), so
-each pattern's merge is worked out once. A column is built the first time
-its coordinate is met and kept per (operator, dim), for at most 16
-operators of at most _COMPILED_CELLS cells each. tensor_product writes
-only products of nonzeros: on sparse tensors the interpreted loops grow
-with the support, and only C-speed passes (allocation, the nonzero
-filter, the constructor's type scan) touch all dim ** order coordinates.
+of its terms one by one (apply_operator). On a sparser tensor its terms
+are merged by output once per equal-entry pattern of the coordinates,
+with the cancelling ones dropped (_Patterns, cached by _compiled_action).
+tensor_product writes only products of nonzeros: on sparse tensors the
+interpreted loops grow with the support, and only C-speed passes
+(allocation, the nonzero filter, the constructor's type scan) touch all
+dim ** order coordinates.
 
 Public indices are 1-based, matching the rest of the package.
 """
@@ -228,7 +223,10 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
     """Scatter table of the slot permutation p: lookup[flat(J)] = flat(I).
 
     I is the index with I[p(k)] = J[k] for every slot k, so that
-    (pT)[I] = T[J]. The key comes from the input, so the cache is bounded.
+    (pT)[I] = T[J]. Given the images of a run of consecutive slots only,
+    it maps that run's part of J, read as an index of its own, to the
+    part of flat(I) those slots add. The key comes from the input, so the
+    cache is bounded.
     """
     flats = [0]  # J runs in coordinate order; slot k of J lands in slot p(k) of I
     for image in images:
@@ -237,103 +235,109 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
     return tuple(flats)
 
 
-# Cells one compiled operator keeps: one per stored pattern or column, plus
-# one per merged term or output index in it. Past it the operator drops all
-# it holds and rebuilds as coordinates come back.
-_COMPILED_CELLS = 1 << 14
+# Cells one compiled operator keeps: one per digit tuple, one per stored
+# pattern, one per merged term in it and one per entry of each slot table
+# it holds. Past it the operator keeps what it has and merges each further
+# pattern for the nonzero that needs it.
+_COMPILED_CELLS = 1 << 18
 
 
-class _Columns(dict):
-    """The action of a on the coordinate basis of one dim, built as coordinates are met.
+class _Patterns(dict):
+    """The action of a on the coordinates of one dim, merged once per equal-entry pattern.
 
-    Maps the flat index j of a coordinate to (coefficients, outputs), with
-    a·e_j = Σ c·e_i over the pairs (c, i) they zip to: each output index
-    appears once and every c is nonzero. Terms p, p' of a send e_j to the
-    same e_i exactly when p'p^{-1} fixes j's equal-entry pattern, so a's
-    terms are merged by output once per pattern, the merged terms that
-    cancel are dropped, and every coordinate of that pattern shares the
-    coefficients: y* on order-5 dim-3 coordinates merges its 48 terms into
-    9.2 outputs on average, and 33 of the 243 coordinates have none.
+    A flat coordinate j splits as hi * split + lo between its first
+    order // 2 slots and the rest, so a term p sends e_j to
+    e_{high[hi] + low[lo]}, with high and low the slot tables of p's images
+    on the two parts (_slot_lookup), of about dim ** (order / 2) entries
+    each. Terms p, p' send e_j to the same coordinate exactly when p'p^{-1}
+    fixes j's equal-entry pattern (each slot names the first slot equal to
+    it), the splitting of V^{⊗r} into permutation modules M^μ (Sagan, The
+    Symmetric Group, 2nd ed., §2.1). So the dict maps a pattern to the
+    (c, high, low) left after merging a's terms by output and dropping the
+    sums that cancel, each output once: y* on order-5 dim-3 coordinates
+    merges its 48 terms into 9.2 outputs on average, and 33 of the 243
+    coordinates have none. A pattern is merged the first time it is met
+    and kept while the operator's cells stay within _COMPILED_CELLS.
     """
 
     def __init__(self, a: GroupRingElement, dim: int):
         super().__init__()
-        self.a, self.order, self.dim = a, a.degree, dim
-        # slot k of e_j lands in slot p(k) of a's output, where a digit weighs weight[p(k)]
-        self.weight = [dim ** (a.degree - image) for image in range(a.degree + 1)]
-        self.patterns: dict[tuple[int, ...], tuple] = {}
-        self.cells = 0
+        order = a.degree
+        self.order, self.dim, self.cut = order, dim, order // 2
+        self.split = dim ** (order - self.cut)
+        # the 0-based digits of each part's indices, in coordinate order
+        self.high_digits = tuple(_cartesian(range(dim), repeat=self.cut))
+        self.low_digits = tuple(_cartesian(range(dim), repeat=order - self.cut))
+        self.terms = list(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
+        self.tables: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.cells = len(self.high_digits) + len(self.low_digits)
+        self.full = False
 
-    def __missing__(self, j: int) -> tuple[tuple[Rational, ...], tuple[int, ...]]:
-        digits = [0] * self.order
-        rest = j
-        for k in reversed(range(self.order)):
-            rest, digits[k] = divmod(rest, self.dim)
-        weigh = self.weight.__getitem__
-        pattern = tuple(map(digits.index, digits))  # each slot names the first slot equal to it
-        merged = self.patterns.get(pattern)
-        if merged is None:
-            # terms with one output on this coordinate have one output on every coordinate of its pattern
-            sums: dict[int, Rational] = {}
-            words: dict[int, tuple[int, ...]] = {}
-            coeffs = self.a.coeffs
-            for word, c in compress(zip(_rank_table(self.order), coeffs), coeffs):
-                i = sum(map(mul, digits, map(weigh, word)))
-                words.setdefault(i, word)
-                sums[i] = sums.get(i, 0) + c
-            kept = [i for i, c in sums.items() if c]
-            merged = (tuple(as_rational(sums[i]) for i in kept), tuple(words[i] for i in kept))
-            self._keep(self.patterns, pattern, merged)
-        coefficients, words = merged
-        column = (coefficients, tuple(sum(map(mul, digits, map(weigh, word))) for word in words))
-        self._keep(self, j, column)
-        return column
+    def __missing__(self, pattern: tuple[int, ...]) -> tuple[tuple[Rational, tuple, tuple], ...]:
+        order, cut = self.order, self.cut
+        # the labels are below order, so a term's output read in base order names its coordinate
+        weigh = [order ** (order - image) for image in range(order + 1)].__getitem__
+        sums: dict[int, Rational] = {}
+        words: dict[int, tuple[int, ...]] = {}
+        for word, c in self.terms:
+            i = sum(map(mul, pattern, map(weigh, word)))
+            words.setdefault(i, word)
+            sums[i] = sums.get(i, 0) + c
+        merged = tuple((as_rational(c), self._table(words[i][:cut]), self._table(words[i][cut:]))
+                       for i, c in sums.items() if c)
+        if not self.full and self.cells + 1 + len(merged) <= _COMPILED_CELLS:
+            self[pattern] = merged
+            self.cells += 1 + len(merged)
+        return merged
 
-    def _keep(self, table: dict, key, value: tuple[tuple, tuple]) -> None:
-        """Store one pattern or column, first dropping everything held if the budget would pass."""
-        cells = 1 + len(value[0])
-        if self.cells + cells > _COMPILED_CELLS:
-            self.clear()
-            self.patterns.clear()
-            self.cells = 0
-        if cells <= _COMPILED_CELLS:
-            table[key] = value
-            self.cells += cells
+    def _table(self, images: tuple[int, ...]) -> tuple[int, ...]:
+        """The slot table of one part's images, held while it fits the cells."""
+        table = self.tables.get(images)
+        if table is None:
+            table = _slot_lookup(images, self.order, self.dim)
+            if self.cells + len(table) <= _COMPILED_CELLS:
+                self.tables[images] = table
+                self.cells += len(table)
+            else:
+                self.full = True
+        return table
 
 
 @lru_cache(maxsize=16)
-def _compiled_action(a: GroupRingElement, dim: int) -> _Columns:
-    """a's columns on the coordinates of order-a.degree tensors of this dim."""
-    return _Columns(a, dim)
+def _compiled_action(a: GroupRingElement, dim: int) -> _Patterns:
+    """a's merged patterns on the coordinates of order-a.degree tensors of this dim."""
+    return _Patterns(a, dim)
 
 
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
 
-    On a tensor with fewer than half its coordinates nonzero, each nonzero
-    v at coordinate j adds c·v to the output coordinates i of j's column
-    (_Columns): a's terms merged by output, the cancelling ones dropped.
-    A column is built the first time its coordinate is met and kept per
-    (a, dim), for at most 16 operators of at most _COMPILED_CELLS cells
-    each, so a repeated call costs one scatter per surviving output.
+    On a tensor of order 2 or more with fewer than half its coordinates
+    nonzero, each nonzero v at coordinate j scatters c·v through the merged
+    terms of j's equal-entry pattern (_Patterns, kept per (a, dim) by
+    _compiled_action), so the terms that land on one output act once and
+    the ones that cancel not at all.
 
-    On a tensor with at least half its coordinates nonzero, a is split as
-    in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over its right stabilizer
-    blocks, and since (a*b)T = a(bT) each group sum acts first as its
-    Jucys-Murphy chain, one transposition scatter per term. Every term of
-    a0 then scatters the nonzeros of the result through its slot table.
+    Otherwise a is split as in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over
+    its right stabilizer blocks, and since (a*b)T = a(bT) each group sum
+    acts first as its Jucys-Murphy chain, one transposition scatter per
+    term. Every term of a0 then scatters the nonzeros of the result through
+    its slot table. At order 1, a is a multiple of the identity, with
+    nothing to merge.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
     order, dim, coords = t.order, t.dim, t.coords
     out = [0] * len(coords)
-    if 2 * coords.count(0) > len(coords):
-        columns = _compiled_action(a, dim)
+    if order > 1 and 2 * coords.count(0) > len(coords):
+        patterns = _compiled_action(a, dim)
+        split, high_digits, low_digits = patterns.split, patterns.high_digits, patterns.low_digits
         for j in compress(range(len(coords)), coords):
             v = coords[j]
-            coefficients, outputs = columns[j]
-            for c, i in zip(coefficients, outputs):
-                out[i] += c * v
+            hi, lo = divmod(j, split)
+            digits = high_digits[hi] + low_digits[lo]
+            for c, high, low in patterns[tuple(map(digits.index, digits))]:
+                out[high[hi] + low[lo]] += c * v
         return DenseTensor(order, dim, out)
     terms = dict(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
     blocks = _stabilizer_blocks(terms)

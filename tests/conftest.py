@@ -70,7 +70,7 @@ def direct_apply(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """a acting on T by scattering every nonzero of T through each term's slot table.
 
     The unfactored, unmerged action that apply_operator's stabilizer chains
-    and compiled columns replaced, kept as their oracle.
+    and merged patterns replaced, kept as their oracle.
     """
     out = [0] * len(t.coords)
     support = [(j, v) for j, v in enumerate(t.coords) if v]

@@ -43,6 +43,7 @@ from symcurv import (
     weyl_dimension,
     young_symmetrizer,
 )
+from symcurv import tensor as tensor_module
 from symcurv.linalg import RowBasis
 from symcurv.tensor import (
     _COMPILED_CELLS,
@@ -213,9 +214,8 @@ def test_apply_operator_matches_direct_scatter(order):
 
 def test_slot_lookup_cache_is_bounded():
     # one table per (permutation, order, dim): 130 dims at order 1 are 130 keys
-    # (dense tensors, as only the dense path reads slot tables)
     for dim in range(1, 131):
-        t = DenseTensor(1, dim, range(1, dim + 1))
+        t = DenseTensor.basis(1, dim, (dim,))
         assert apply_operator(GroupRingElement.identity(1), t) == t
     assert _slot_lookup.cache_info().currsize <= 128
 
@@ -265,29 +265,48 @@ def test_compiled_action_matches_direct_scatter_with_a_warm_cache(order):
             # seconds, so there the operators are the few-term ones
             ops = [a for a in ops if sum(1 for c in a.coeffs if c) <= 6]
         expected = [[_typed(direct_apply(a, t)) for a in ops] for t in tensors]
-        for _ in range(3):  # the first round builds the columns, the later ones reuse them
+        for _ in range(3):  # the first round merges the patterns, the later ones reuse them
             for t, images in zip(tensors, expected):
                 assert [_typed(apply_operator(a, t)) for a in ops] == images
 
 
-def test_compiled_columns_are_merged_and_cancellation_free():
+def _pattern(j, order, dim):
+    """Each slot of coordinate j names the first slot equal to it."""
+    digits = []
+    for _ in range(order):
+        j, digit = divmod(j, dim)
+        digits.insert(0, digit)
+    return tuple(digits.index(d) for d in digits)
+
+
+def test_compiled_patterns_are_merged_and_cancellation_free():
     ystar = curvature_symmetrizer_star(1)
     basis = coordinate_basis(5, 3)
     images = [apply_operator(ystar, b) for b in basis]
     assert sum(image.is_zero() for image in images) == 33
-    columns = _compiled_action(ystar, 3)
+    patterns = _compiled_action(ystar, 3)
+    split = 3 ** 3
     outputs = 0
     for j, (b, image) in enumerate(zip(basis, images)):
         assert image == direct_apply(ystar, b)
-        coefficients, indices = columns[j]
-        assert len(set(indices)) == len(indices) == len(coefficients)
-        assert all(coefficients)
+        hi, lo = divmod(j, split)
+        merged = patterns[_pattern(j, 5, 3)]
+        indices = [high[hi] + low[lo] for _, high, low in merged]
+        assert len(set(indices)) == len(indices)
+        assert all(c for c, _, _ in merged)
         assert sorted(indices) == [i for i, c in enumerate(image.coords) if c]
         outputs += len(indices)
     assert outputs == 2232  # 48 terms merge into 9.2 outputs per coordinate on average
+    assert len(patterns) == 41  # Bell(5) patterns, less the 11 with more than 3 entries
 
 
-def test_compiled_action_cache_is_bounded():
+def _held_cells(patterns):
+    return (len(patterns.high_digits) + len(patterns.low_digits)
+            + sum(1 + len(merged) for merged in patterns.values())
+            + sum(len(table) for table in patterns.tables.values()))
+
+
+def test_compiled_action_cache_is_bounded(monkeypatch):
     # more distinct operators than the cache holds, on a sparse tensor
     t = DenseTensor.basis(3, 3, (1, 2, 2))
     maxsize = _compiled_action.cache_info().maxsize
@@ -296,17 +315,26 @@ def test_compiled_action_cache_is_bounded():
         a = GroupRingElement.identity(3) + swap.scale(k + 1)
         assert apply_operator(a, t) == direct_apply(a, t)
         assert _compiled_action.cache_info().currsize <= maxsize
-    # one operator met on more coordinates than its cells allow drops what it holds
+    # an operator whose patterns and tables pass its cells keeps what fits and merges the rest per call
     rng = random.Random(77)
-    size = 8 ** 5
+    size = 6 ** 5
     kept = set(rng.sample(range(size), size // 2 - 1))
-    t = DenseTensor(5, 8, [rng.randint(1, 3) if k in kept else 0 for k in range(size)])
-    a = _slot_sum(5, ("(2 4 3)", 4), ("(1 2 4 3)", -4), ("(1 2 3)", 4), ("(2 3)", -4))
-    assert apply_operator(a, t) == direct_apply(a, t)
-    columns = _compiled_action(a, 8)
-    held = sum(1 + len(c) for c, _ in columns.values()) + sum(1 + len(c) for c, _ in columns.patterns.values())
-    assert held == columns.cells <= _COMPILED_CELLS
-    assert len(columns) < len(kept)
+    t = DenseTensor(5, 6, [rng.randint(1, 3) if k in kept else 0 for k in range(size)])
+    a = curvature_symmetrizer_star(1)
+    expected = direct_apply(a, t)
+    _compiled_action.cache_clear()
+    assert apply_operator(a, t) == expected
+    assert _held_cells(_compiled_action(a, 6)) == _compiled_action(a, 6).cells <= _COMPILED_CELLS
+    roomy = len(_compiled_action(a, 6))
+    assert roomy == 52  # every pattern of 5 slots is met on 6 values and kept
+    _compiled_action.cache_clear()
+    monkeypatch.setattr(tensor_module, "_COMPILED_CELLS", 2000)
+    for _ in range(2):
+        assert apply_operator(a, t) == expected
+        patterns = _compiled_action(a, 6)
+        assert _held_cells(patterns) == patterns.cells <= 2000
+        assert patterns.full and len(patterns) < roomy
+    _compiled_action.cache_clear()
 
 
 # -- frame evaluation ---------------------------------------------------------
