@@ -37,9 +37,9 @@ are read from one table of hook dimensions per degree (_block_sizes, at
 most MAX_DEGREE entries), shared by the BlockMatrixImage constructors,
 the zero blocks of a transform and the work bound.
 
-An element is transformed the way it is multiplied: its right stabilizer
-group sums are split off, the recursion covers the rest of its support,
-and each group sum is a Jucys-Murphy chain. The work bound still counts
+An element is transformed the way it is multiplied, split once by
+group_ring._factored: the recursion covers the rest of its support, and
+each group sum is a Jucys-Murphy chain. The work bound still counts
 descent-tree words, the words on the first-descent chains of that
 support, times Σ f_λ² over the shapes built. That overstates Clausen's
 own work, and it is checked before any matrix is built.
@@ -54,8 +54,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg, seminormal
-from .group_ring import (MAX_DEGREE, GroupRingElement, _numerators, _require_degree, _sorted_on,
-                         _stabilizer_blocks)
+from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _require_degree
 from .linalg import Matrix, int_mat_mul
 from .permutation import Permutation, _rank_table
 from .rationals import Rational, as_rational
@@ -196,15 +195,12 @@ def _descent_words(words: Iterable[Word]) -> int:
 def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[Block | None]:
     """Seminormal D_λ(a) per shape, None for a zero block.
 
-    As in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over a's right stabilizer
-    blocks; Clausen's recursion covers a0 and each group sum is a
-    Jucys-Murphy chain. Refuses before any matrix is built when the words on
-    the first-descent chains of a0's support times Σ f_λ² exceed
-    MAX_TRANSFORM_WORK.
+    a is split by _factored: Clausen's recursion covers its rest and each
+    group sum is a Jucys-Murphy chain. Refuses before any matrix is built
+    when the words on the first-descent chains of the rest's support times
+    Σ f_λ² exceed MAX_TRANSFORM_WORK.
     """
-    den, numerators = _numerators(a)
-    stabilizer = _stabilizer_blocks(numerators)
-    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, stabilizer)}
+    den, stabilizer, numerators = _factored(a)
     sizes = _block_sizes(a.degree)
     _require_work(_descent_words(numerators), [sizes[s] for s in shapes])
     values = [0] * factorial(a.degree)

@@ -1,13 +1,14 @@
 """The exact-rational group ring Q[S_r].
 
 Elements are dense coefficient vectors indexed by the canonical
-(lexicographic) enumeration of S_r. A product a*b first splits off the
-group sum of b's right stabilizer among the Young subgroups, then
-convolves a with what is left and multiplies by that group sum as a
-chain of Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974;
-G. Murphy, J. Algebra 69, 1981). Both steps run on integer numerators
-over each factor's common denominator, and each nonzero of the product
-is divided once. Everything is an exact rational; floats never enter.
+(lexicographic) enumeration of S_r. A product a*b splits b once into
+what is left and the group sums of its right stabilizer (_factored),
+convolves a with what is left and runs each group sum as a chain of
+Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974; G. Murphy,
+J. Algebra 69, 1981). The transform and the tensor action read the same
+split. Products run on integer numerators over each factor's common
+denominator, and each nonzero of the product is divided once.
+Everything is an exact rational; floats never enter.
 Right-ideal ranks are read off Fourier blocks.
 
 Elements are immutable and all caches are write-once, so values can be
@@ -141,6 +142,22 @@ def _numerators(a: "GroupRingElement") -> tuple[int, dict[tuple[int, ...], int]]
     return den, {w: c.numerator * (den // c.denominator) for w, c in terms}
 
 
+def _factored(a: "GroupRingElement") -> tuple[int, list[tuple[list[int], int]], dict[tuple[int, ...], int]]:
+    """(den, blocks, rest) with a = (Σ_w rest[w]·w)/den · Π_B Σ_{g in S_B} χ_B(g)·g.
+
+    blocks are a's right stabilizer blocks B with signs (_stabilizer_blocks):
+    a·h = χ_B(h)·a for each transposition h in S_B, χ_B the sign character
+    for sign -1 and trivial for 1. So on each coset w·Π_B S_B a's terms are
+    one coefficient times χ, and rest keeps, over den, the integer numerator
+    of the coset's one word that increases along every block. Products,
+    transforms and tensor actions run the rest, then each group sum as a
+    Jucys-Murphy chain (_times_block_sum); this is the one place a is split.
+    """
+    den, numerators = _numerators(a)
+    blocks = _stabilizer_blocks(numerators)
+    return den, blocks, {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
+
+
 @dataclass(frozen=True)
 class GroupRingElement:
     """An element of Q[S_r] with dense exact-rational coefficients, built from any sequence."""
@@ -225,11 +242,9 @@ class GroupRingElement:
     def __mul__(self, other) -> "GroupRingElement":
         """Convolution: (a*b)(s) = sum over p*q = s of a(p) b(q).
 
-        With blocks B and signs χ from b's right stabilizer, b = b0 * Π_B
-        Σ_{S_B} χ(g)·g, where b0 keeps the terms whose word increases on
-        every block; a*b is the convolution a*b0 times those group sums.
-        Both run on the factors' integer numerators, and each nonzero of
-        the result is divided once by the two common denominators.
+        b is split by _factored, so a*b is a convolved with b's rest, then
+        times b's group sums. Both run on integer numerators, and each
+        nonzero of the result is divided once by the two denominators.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -237,15 +252,13 @@ class GroupRingElement:
             return NotImplemented
         self._check_degree(other)
         den_a, mine = _numerators(self)
-        den_b, theirs = _numerators(other)
-        blocks = _stabilizer_blocks(theirs)
+        den_b, blocks, theirs = _factored(other)
         rank = _rank_table(self.degree)
         out: list[Rational] = [0] * len(rank)
         for q, y in theirs.items():
-            if not blocks or _sorted_on(q, blocks):
-                compose = _positions([v - 1 for v in q])  # p -> p*q
-                for p, x in mine.items():
-                    out[rank[compose(p)]] += x * y
+            compose = _positions([v - 1 for v in q])  # p -> p*q
+            for p, x in mine.items():
+                out[rank[compose(p)]] += x * y
         swap = partial(_swap_table, self.degree)
         for block, sign in blocks:
             out = _times_block_sum(out, block, sign, swap)

@@ -68,27 +68,23 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> "Permutation":
-        """Parse '[2,1,3]' one-line form, or '(1 3)(2 4)' cycle form.
+        """Parse a whole '[2,1,3]' one-line form, or a whole run of cycles '(1 3)(2 4)'.
 
-        Cycle form needs an explicit degree since fixed points are implicit.
+        '()' is the identity. Cycle form needs an explicit degree since fixed
+        points are implicit. Any other text raises ValueError.
         """
         text = text.strip()
-        if text.startswith("["):
-            body = text.strip("[]")
-            images = [int(v) for v in body.replace(",", " ").split()]
-            p = cls(images)
+        if re.fullmatch(r"\[[^][]*\]", text):
+            p = cls(int(v) for v in text[1:-1].replace(",", " ").split())
             if degree is not None and p.degree != degree:
                 raise ValueError(f"parsed degree {p.degree}, expected {degree}")
             return p
-        if text.startswith("("):
-            if degree is None:
-                raise ValueError("cycle notation requires an explicit degree")
-            cycles = [
-                [int(v) for v in chunk.replace(",", " ").split()]
-                for chunk in re.findall(r"\(([^()]*)\)", text)
-            ]
-            return cls.from_cycles(degree, cycles)
-        raise ValueError(f"cannot parse permutation: {text!r}")
+        if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
+            raise ValueError(f"cannot parse permutation: {text!r}")
+        if degree is None:
+            raise ValueError("cycle notation requires an explicit degree")
+        return cls.from_cycles(degree, ([int(v) for v in chunk.replace(",", " ").split()]
+                                        for chunk in re.findall(r"\(([^()]*)\)", text)))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]

@@ -7,11 +7,10 @@ a tuple of vectors into a group-ring element. Under these conventions
 (a*b)T = a(bT) and (aT)_b = T_b * star(a); a regression test pins the
 composition order.
 
-On a tensor at least half nonzero, a acts the way it multiplies: its
-right-stabilizer group sums first, as Jucys-Murphy chains, then the rest
-of its terms one by one (apply_operator). On a sparser tensor its terms
-are merged by output once per equal-entry pattern of the coordinates,
-with the cancelling ones dropped (_Patterns, cached by _compiled_action).
+An operator is compiled once per dimension (_compiled_action). On a
+tensor at least half nonzero it acts the way it multiplies, split by
+group_ring._factored; on a sparser tensor its terms are merged by output
+once per equal-entry pattern of the coordinates (_Patterns).
 tensor_product writes only products of nonzeros: on sparse tensors the
 interpreted loops grow with the support, and only C-speed passes
 (allocation, the nonzero filter, the constructor's type scan) touch all
@@ -33,8 +32,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dft import block_ranks
-from .group_ring import (MAX_DEGREE, GroupRingElement, _sorted_on, _stabilizer_blocks, _swap,
-                         _times_block_sum)
+from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _swap, _times_block_sum
 from .linalg import rank_of_rows
 from .permutation import Permutation, _rank_table, symmetric_group
 from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
@@ -243,15 +241,17 @@ _COMPILED_CELLS = 1 << 18
 
 
 class _Patterns(dict):
-    """The action of a on the coordinates of one dim, merged once per equal-entry pattern.
+    """The action of a on the coordinates of one dim: its split, and its terms merged per pattern.
 
-    A flat coordinate j splits as hi * split + lo between its first
-    order // 2 slots and the rest, so a term p sends e_j to
-    e_{high[hi] + low[lo]}, with high and low the slot tables of p's images
-    on the two parts (_slot_lookup), of about dim ** (order / 2) entries
-    each. Terms p, p' send e_j to the same coordinate exactly when p'p^{-1}
-    fixes j's equal-entry pattern (each slot names the first slot equal to
-    it), the splitting of V^{⊗r} into permutation modules M^μ (Sagan, The
+    den, blocks and rest are a's split (group_ring._factored), which the
+    dense branch of apply_operator runs. For the sparse branch a flat
+    coordinate j splits as hi * split + lo between its first order // 2
+    slots and the rest, so a term p sends e_j to e_{high[hi] + low[lo]},
+    with high and low the slot tables of p's images on the two parts
+    (_slot_lookup), of about dim ** (order / 2) entries each. Terms p, p'
+    send e_j to the same coordinate exactly when p'p^{-1} fixes j's
+    equal-entry pattern (each slot names the first slot equal to it), the
+    splitting of V^{⊗r} into permutation modules M^μ (Sagan, The
     Symmetric Group, 2nd ed., §2.1). So the dict maps a pattern to the
     (c, high, low) left after merging a's terms by output and dropping the
     sums that cancel, each output once: y* on order-5 dim-3 coordinates
@@ -269,6 +269,7 @@ class _Patterns(dict):
         self.high_digits = tuple(_cartesian(range(dim), repeat=self.cut))
         self.low_digits = tuple(_cartesian(range(dim), repeat=order - self.cut))
         self.terms = list(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
+        self.den, self.blocks, self.rest = _factored(a)
         self.tables: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.cells = len(self.high_digits) + len(self.low_digits)
         self.full = False
@@ -305,56 +306,49 @@ class _Patterns(dict):
 
 @lru_cache(maxsize=16)
 def _compiled_action(a: GroupRingElement, dim: int) -> _Patterns:
-    """a's merged patterns on the coordinates of order-a.degree tensors of this dim."""
+    """a's split and merged patterns on the coordinates of order-a.degree tensors of this dim."""
     return _Patterns(a, dim)
 
 
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
 
-    On a tensor of order 2 or more with fewer than half its coordinates
-    nonzero, each nonzero v at coordinate j scatters c·v through the merged
-    terms of j's equal-entry pattern (_Patterns, kept per (a, dim) by
-    _compiled_action), so the terms that land on one output act once and
-    the ones that cancel not at all.
-
-    Otherwise a is split as in a product, a = a0 * Π_B Σ_{S_B} χ(g)·g over
-    its right stabilizer blocks, and since (a*b)T = a(bT) each group sum
-    acts first as its Jucys-Murphy chain, one transposition scatter per
-    term. Every term of a0 then scatters the nonzeros of the result through
-    its slot table. At order 1, a is a multiple of the identity, with
-    nothing to merge.
+    At order 1, a is a multiple of the identity. Otherwise a is compiled
+    once per (a, dim) by _compiled_action. On a tensor with fewer than
+    half its coordinates nonzero, each nonzero v at coordinate j scatters
+    c·v through the merged terms of j's equal-entry pattern (_Patterns).
+    Otherwise a acts as split by group_ring._factored: since
+    (a*b)T = a(bT), each group sum acts first as its Jucys-Murphy chain,
+    then each word of the rest scatters the nonzeros by its integer
+    numerator through its slot table, and each output is divided once.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
+    if t.order == 1:
+        return t.scale(a.coeffs[0])
     order, dim, coords = t.order, t.dim, t.coords
+    action = _compiled_action(a, dim)
     out = [0] * len(coords)
-    if order > 1 and 2 * coords.count(0) > len(coords):
-        patterns = _compiled_action(a, dim)
-        split, high_digits, low_digits = patterns.split, patterns.high_digits, patterns.low_digits
+    if 2 * coords.count(0) > len(coords):
+        split, high_digits, low_digits = action.split, action.high_digits, action.low_digits
         for j in compress(range(len(coords)), coords):
             v = coords[j]
             hi, lo = divmod(j, split)
             digits = high_digits[hi] + low_digits[lo]
-            for c, high, low in patterns[tuple(map(digits.index, digits))]:
+            for c, high, low in action[tuple(map(digits.index, digits))]:
                 out[high[hi] + low[lo]] += c * v
         return DenseTensor(order, dim, out)
-    terms = dict(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
-    blocks = _stabilizer_blocks(terms)
-    if blocks:
-        identity = tuple(range(1, order + 1))
-
-        def swap(i: int, j: int) -> tuple[int, ...]:
-            return _slot_lookup(_swap(identity, i, j), order, dim)
-
-        for block, sign in blocks:
-            coords = _times_block_sum(coords, block, sign, swap)
-        terms = {w: c for w, c in terms.items() if _sorted_on(w, blocks)}
+    identity = tuple(range(1, order + 1))
+    for block, sign in action.blocks:
+        coords = _times_block_sum(coords, block, sign,
+                                  lambda i, j: _slot_lookup(_swap(identity, i, j), order, dim))
     support = list(compress(enumerate(coords), coords))
-    for images, c in terms.items():
+    for images, n in action.rest.items():
         lookup = _slot_lookup(images, order, dim)
         for j, v in support:
-            out[lookup[j]] += c * v
+            out[lookup[j]] += n * v
+    if action.den != 1:
+        out = [Fraction(x, action.den) if x else 0 for x in out]
     return DenseTensor(order, dim, out)
 
 

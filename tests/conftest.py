@@ -20,7 +20,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import _generators
-from symcurv.group_ring import _numerators, _positions, _sorted_on, _stabilizer_blocks
+from symcurv.group_ring import _factored, _positions, _sorted_on, _stabilizer_blocks
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.rationals import as_rational
 from symcurv.tensor import _slot_lookup
@@ -365,9 +365,7 @@ def block_columns(a, shapes):
     tree covers a0's support, and each group sum is the chain
     Π_j (I + χ·Σ_{i<j} D((i j))), D((i j)) the palindrome s_{j-1}···s_i···s_{j-1}.
     """
-    den, numerators = _numerators(a)
-    blocks = _stabilizer_blocks(numerators)
-    numerators = {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
+    den, blocks, numerators = _factored(a)
     tree = _descent_tree(numerators)
     out = []
     for shape in shapes:

@@ -24,7 +24,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import _inverse_table, _stabilizer_blocks
+from symcurv.group_ring import _factored, _inverse_table, _stabilizer_blocks
 from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
 
@@ -364,6 +364,32 @@ def test_stabilizer_blocks_of_curvature_symmetrizers():
     assert (_stabilizer_blocks({p.images: c for p, c in y.star().terms()})
             == [([0, 2, 4], 1), ([1, 3], 1)])
     assert _stabilizer_blocks({}) == []
+
+
+def _rebuilt(a):
+    """(Σ rest[w]·w)/den times each group sum of a's split."""
+    den, blocks, rest = _factored(a)
+    assert all(type(n) is int and n for n in rest.values())
+    out = GroupRingElement.from_terms(a.degree, [(w, Fraction(n, den)) for w, n in rest.items()])
+    for block, sign in blocks:
+        assert all(w[i] < w[j] for w in rest for i, j in zip(block, block[1:]))
+        out = out.times_group_sum([i + 1 for i in block], signed=sign < 0)
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_factored_form_rebuilds_the_element(degree):
+    for a in rank_test_elements(random.Random(70 + degree), degree):
+        assert _rebuilt(a) == a
+        assert _rebuilt(a.scale(Fraction(-2, 3))) == a.scale(Fraction(-2, 3))
+    assert _rebuilt(GroupRingElement.zero(degree)) == GroupRingElement.zero(degree)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2, 3])
+def test_factored_form_rebuilds_the_curvature_symmetrizer(u):
+    ystar = young_symmetrizer(curvature_tableau(u)).star()
+    assert _factored(ystar)[1]  # y* = C R is stable under its rows
+    assert _rebuilt(ystar) == ystar
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])

@@ -91,6 +91,17 @@ def test_cycle_parsing_and_printing():
     assert Permutation.identity(3).cycle_string() == "()"
 
 
+@pytest.mark.parametrize("text, degree", [("(1 2", 4), ("(1 2) junk", 4), ("[2,1", None)])
+def test_parse_refuses_malformed_text(text, degree):
+    with pytest.raises(ValueError):
+        Permutation.parse(text, degree)
+
+
+def test_parse_accepts_the_identity_and_fixed_point_cycles():
+    assert Permutation.parse("()", 3) == Permutation.identity(3)
+    assert Permutation.parse("(1)(2 3)", 3) == Permutation([1, 3, 2])
+
+
 def test_one_line_repr_round_trips():
     p = Permutation([3, 1, 2])
     assert Permutation.parse(repr(p)) == p

@@ -43,6 +43,7 @@ from symcurv import (
     weyl_dimension,
     young_symmetrizer,
 )
+from symcurv import group_ring as group_ring_module
 from symcurv import tensor as tensor_module
 from symcurv.linalg import RowBasis
 from symcurv.tensor import (
@@ -213,11 +214,30 @@ def test_apply_operator_matches_direct_scatter(order):
 
 
 def test_slot_lookup_cache_is_bounded():
-    # one table per (permutation, order, dim): 130 dims at order 1 are 130 keys
-    for dim in range(1, 131):
-        t = DenseTensor.basis(1, dim, (dim,))
-        assert apply_operator(GroupRingElement.identity(1), t) == t
-    assert _slot_lookup.cache_info().currsize <= 128
+    # one table per (images, order, dim); order 1 needs none, so sparse order-2
+    # tensors at 69 dims ask for the identity's two half tables each, 138 keys
+    _slot_lookup.cache_clear()
+    _compiled_action.cache_clear()
+    for dim in range(2, 71):
+        t = DenseTensor.basis(2, dim, (dim, 1))
+        assert apply_operator(GroupRingElement.identity(2), t) == t
+    assert _slot_lookup.cache_info().misses == 138
+    assert _slot_lookup.cache_info().currsize == 128
+
+
+def test_dense_action_splits_the_operator_once(monkeypatch):
+    a = curvature_symmetrizer_star(1)
+    t = random_tensor(random.Random(19), 5, 3)
+    assert 2 * t.coords.count(0) <= len(t.coords)  # the dense branch
+    expected = direct_apply(a, t)
+    split = group_ring_module._stabilizer_blocks
+    calls = []
+    monkeypatch.setattr(group_ring_module, "_stabilizer_blocks", lambda terms: calls.append(1) or split(terms))
+    _compiled_action.cache_clear()
+    for _ in range(3):
+        assert apply_operator(a, t) == expected
+    assert len(calls) == 1
+    _compiled_action.cache_clear()
 
 
 def _sparse_operators(order):
