@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
 from math import factorial, lcm
-from operator import itemgetter
+from operator import add, itemgetter, le, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
@@ -72,8 +72,13 @@ def _swap(images: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
 
 
 def _positions(indices: Sequence[int]):
-    """The map taking a word w to the tuple of its entries at the given positions."""
-    return itemgetter(*indices) if len(indices) > 1 else tuple
+    """The map taking a sequence w to the tuple of its entries at the given positions.
+
+    itemgetter returns a bare entry for one position, so that case gets its own map.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda w: tuple(w[i] for i in indices)
 
 
 def _swap_sign(terms: Mapping[tuple[int, ...], Rational], i: int, j: int) -> int:
@@ -106,11 +111,6 @@ def _stabilizer_blocks(terms: Mapping[tuple[int, ...], Rational]) -> list[tuple[
     return [(block, sign) for block, sign in blocks if len(block) > 1]
 
 
-def _sorted_on(word: tuple[int, ...], blocks: list[tuple[list[int], int]]) -> bool:
-    """Whether the word is weakly increasing along every block."""
-    return all(word[i] <= word[j] for block, _ in blocks for i, j in zip(block, block[1:]))
-
-
 def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int,
                      swap: Callable[[int, int], Sequence[int]]) -> Sequence[Rational]:
     """Σ_{g in S_block} χ(g)·g on coeffs as the chain Π_j (1 + sign·L_j).
@@ -119,15 +119,26 @@ def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int
     L_j = Σ_{i<j in block} (i j) is the Jucys-Murphy element; block holds
     0-based positions. swap(i, j) is the scatter table of (i+1 j+1):
     _swap_table for a right factor of a group-ring element, the slot table
-    for a tensor. The L_j commute, so the chain's order does not matter.
+    for a tensor. A transposition is an involution, so its scatter table is
+    also its gather table: a step on a vector at least half nonzero adds
+    coeffs[table[k]] to entry k at C speed, and a sparser step scatters its
+    nonzeros. The L_j commute, so the chain's order does not matter.
     """
     for n, j in enumerate(block[1:], start=1):
-        support = [(k, c if sign > 0 else -c) for k, c in enumerate(coeffs) if c]
-        out = list(coeffs)
-        for i in block[:n]:
-            table = swap(i, j)
-            for k, c in support:
-                out[table[k]] += c
+        tables = [swap(i, j) for i in block[:n]]
+        if 2 * coeffs.count(0) > len(coeffs):
+            values = compress(coeffs, coeffs)
+            support = list(zip(compress(range(len(coeffs)), coeffs),
+                               values if sign > 0 else map(neg, values)))
+            out = list(coeffs)
+            for table in tables:
+                for k, c in support:
+                    out[table[k]] += c
+        else:
+            out = coeffs
+            for table in tables:
+                out = map(add if sign > 0 else sub, out, _positions(table)(coeffs))
+            out = list(out)
         coeffs = out
     return coeffs
 
@@ -155,7 +166,12 @@ def _factored(a: "GroupRingElement") -> tuple[int, list[tuple[list[int], int]], 
     """
     den, numerators = _numerators(a)
     blocks = _stabilizer_blocks(numerators)
-    return den, blocks, {w: n for w, n in numerators.items() if _sorted_on(w, blocks)}
+    # the coset's word increases along each block: w[i] <= w[j] for consecutive i, j
+    pairs = [(i, j) for block, _ in blocks for i, j in zip(block, block[1:])]
+    if not pairs:
+        return den, blocks, numerators
+    lo, hi = (_positions(half) for half in zip(*pairs))
+    return den, blocks, {w: n for w, n in numerators.items() if all(map(le, lo(w), hi(w)))}
 
 
 @dataclass(frozen=True)
@@ -283,12 +299,8 @@ class GroupRingElement:
 
     def star(self) -> "GroupRingElement":
         """The involution sending each permutation to its inverse."""
-        inv = _inverse_table(self.degree)
-        out = [0] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[inv[i]] = c
-        return GroupRingElement(self.degree, out)
+        # the table is an involution, so it gathers as well as it scatters
+        return GroupRingElement(self.degree, _positions(_inverse_table(self.degree))(self.coeffs))
 
     # -- inspection ------------------------------------------------------
 

@@ -24,15 +24,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import compress, repeat
 from itertools import permutations as _words
 from itertools import product as _cartesian
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dft import block_ranks
-from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _swap, _times_block_sum
+from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _positions, _swap, _times_block_sum
 from .linalg import rank_of_rows
 from .permutation import Permutation, _rank_table, symmetric_group
 from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
@@ -221,7 +221,10 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
     """Scatter table of the slot permutation p: lookup[flat(J)] = flat(I).
 
     I is the index with I[p(k)] = J[k] for every slot k, so that
-    (pT)[I] = T[J]. Given the images of a run of consecutive slots only,
+    (pT)[I] = T[J]. The table of p^{-1} is the inverse map, so it is p's
+    gather table: (pT)[I] = T[lookup_{p^{-1}}[I]]. A transposition is its
+    own inverse, so its table gathers as well as it scatters. Given the
+    images of a run of consecutive slots only,
     it maps that run's part of J, read as an index of its own, to the
     part of flat(I) those slots add. The key comes from the input, so the
     cache is bounded.
@@ -235,16 +238,17 @@ def _slot_lookup(images: tuple[int, ...], order: int, dim: int) -> tuple[int, ..
 
 # Cells one compiled operator keeps: one per digit tuple, one per stored
 # pattern, one per merged term in it and one per entry of each slot table
-# it holds. Past it the operator keeps what it has and merges each further
-# pattern for the nonzero that needs it.
+# it holds. Past it the operator keeps what it has, and each further
+# pattern and slot table is made once per call that needs it.
 _COMPILED_CELLS = 1 << 18
 
 
 class _Patterns(dict):
     """The action of a on the coordinates of one dim: its split, and its terms merged per pattern.
 
-    den, blocks and rest are a's split (group_ring._factored), which the
-    dense branch of apply_operator runs. For the sparse branch a flat
+    den and blocks are a's split (group_ring._factored), and gathers holds
+    the inverse of each word of its rest with the word's numerator, which
+    the dense branch of apply_operator runs. For the sparse branch a flat
     coordinate j splits as hi * split + lo between its first order // 2
     slots and the rest, so a term p sends e_j to e_{high[hi] + low[lo]},
     with high and low the slot tables of p's images on the two parts
@@ -257,7 +261,9 @@ class _Patterns(dict):
     sums that cancel, each output once: y* on order-5 dim-3 coordinates
     merges its 48 terms into 9.2 outputs on average, and 33 of the 243
     coordinates have none. A pattern is merged the first time it is met
-    and kept while the operator's cells stay within _COMPILED_CELLS.
+    and kept while the operator's cells stay within _COMPILED_CELLS;
+    apply_operator keeps one that does not fit, and the tables it reads,
+    for the rest of its call.
     """
 
     def __init__(self, a: GroupRingElement, dim: int):
@@ -269,12 +275,20 @@ class _Patterns(dict):
         self.high_digits = tuple(_cartesian(range(dim), repeat=self.cut))
         self.low_digits = tuple(_cartesian(range(dim), repeat=order - self.cut))
         self.terms = list(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
-        self.den, self.blocks, self.rest = _factored(a)
+        self.den, self.blocks, rest = _factored(a)
+        self.gathers = [(tuple(images.index(v) + 1 for v in range(1, order + 1)), n)
+                        for images, n in rest.items()]
         self.tables: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.cells = len(self.high_digits) + len(self.low_digits)
         self.full = False
 
-    def __missing__(self, pattern: tuple[int, ...]) -> tuple[tuple[Rational, tuple, tuple], ...]:
+    def merge(self, pattern: tuple[int, ...],
+              spare: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple[Rational, tuple, tuple], ...]:
+        """The pattern's merged terms, stored while they fit the cells.
+
+        spare holds, for one apply_operator call, the slot tables the
+        operator had no room to keep, so each is built once per call.
+        """
         order, cut = self.order, self.cut
         # the labels are below order, so a term's output read in base order names its coordinate
         weigh = [order ** (order - image) for image in range(order + 1)].__getitem__
@@ -284,16 +298,18 @@ class _Patterns(dict):
             i = sum(map(mul, pattern, map(weigh, word)))
             words.setdefault(i, word)
             sums[i] = sums.get(i, 0) + c
-        merged = tuple((as_rational(c), self._table(words[i][:cut]), self._table(words[i][cut:]))
+        table = partial(self._table, spare=spare)
+        merged = tuple((as_rational(c), table(words[i][:cut]), table(words[i][cut:]))
                        for i, c in sums.items() if c)
         if not self.full and self.cells + 1 + len(merged) <= _COMPILED_CELLS:
             self[pattern] = merged
             self.cells += 1 + len(merged)
         return merged
 
-    def _table(self, images: tuple[int, ...]) -> tuple[int, ...]:
-        """The slot table of one part's images, held while it fits the cells."""
-        table = self.tables.get(images)
+    def _table(self, images: tuple[int, ...],
+               spare: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+        """The slot table of one part's images, held while it fits the cells, else kept in spare."""
+        table = self.tables.get(images) or spare.get(images)
         if table is None:
             table = _slot_lookup(images, self.order, self.dim)
             if self.cells + len(table) <= _COMPILED_CELLS:
@@ -301,6 +317,7 @@ class _Patterns(dict):
                 self.cells += len(table)
             else:
                 self.full = True
+                spare[images] = table
         return table
 
 
@@ -316,11 +333,13 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     At order 1, a is a multiple of the identity. Otherwise a is compiled
     once per (a, dim) by _compiled_action. On a tensor with fewer than
     half its coordinates nonzero, each nonzero v at coordinate j scatters
-    c·v through the merged terms of j's equal-entry pattern (_Patterns).
+    c·v through the merged terms of j's equal-entry pattern (_Patterns);
+    a pattern the operator had no room to keep is merged once per call.
     Otherwise a acts as split by group_ring._factored: since
     (a*b)T = a(bT), each group sum acts first as its Jucys-Murphy chain,
-    then each word of the rest scatters the nonzeros by its integer
-    numerator through its slot table, and each output is divided once.
+    then each word p of the rest gathers the tensor through the slot table
+    of p^{-1}, scaled by its integer numerator, and each output is divided
+    once. Both run at C speed over the coordinates.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
@@ -328,25 +347,39 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
         return t.scale(a.coeffs[0])
     order, dim, coords = t.order, t.dim, t.coords
     action = _compiled_action(a, dim)
-    out = [0] * len(coords)
     if 2 * coords.count(0) > len(coords):
+        out = [0] * len(coords)
         split, high_digits, low_digits = action.split, action.high_digits, action.low_digits
+        # this call's patterns and slot tables that the operator had no room to keep
+        spilled: dict[tuple[int, ...], tuple] = {}
+        spare: dict[tuple[int, ...], tuple[int, ...]] = {}
         for j in compress(range(len(coords)), coords):
             v = coords[j]
             hi, lo = divmod(j, split)
             digits = high_digits[hi] + low_digits[lo]
-            for c, high, low in action[tuple(map(digits.index, digits))]:
+            pattern = tuple(map(digits.index, digits))
+            merged = action.get(pattern)
+            if merged is None:
+                merged = spilled.get(pattern)
+                if merged is None:
+                    merged = spilled[pattern] = action.merge(pattern, spare)
+            for c, high, low in merged:
                 out[high[hi] + low[lo]] += c * v
         return DenseTensor(order, dim, out)
     identity = tuple(range(1, order + 1))
     for block, sign in action.blocks:
         coords = _times_block_sum(coords, block, sign,
                                   lambda i, j: _slot_lookup(_swap(identity, i, j), order, dim))
-    support = list(compress(enumerate(coords), coords))
-    for images, n in action.rest.items():
-        lookup = _slot_lookup(images, order, dim)
-        for j, v in support:
-            out[lookup[j]] += n * v
+    out = None  # the first word's image, then the running sum
+    for inverse, n in action.gathers:
+        image = _positions(_slot_lookup(inverse, order, dim))(coords)
+        if n == -1:
+            out = list(map(neg, image) if out is None else map(sub, out, image))
+        else:
+            image = image if n == 1 else map(mul, image, repeat(n))
+            out = list(image if out is None else map(add, out, image))
+    if out is None:  # the zero operator has no words
+        out = [0] * len(coords)
     if action.den != 1:
         out = [Fraction(x, action.den) if x else 0 for x in out]
     return DenseTensor(order, dim, out)

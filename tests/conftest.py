@@ -20,9 +20,9 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import _generators
-from symcurv.group_ring import _factored, _positions, _sorted_on, _stabilizer_blocks
+from symcurv.group_ring import _factored, _inverse_table, _positions, _stabilizer_blocks, _times_block_sum
 from symcurv.linalg import RowBasis, matrix, mat_transpose
-from symcurv.rationals import as_rational
+from symcurv.rationals import as_rational, as_rationals
 from symcurv.tensor import _slot_lookup
 
 
@@ -255,6 +255,76 @@ def tabloid_solve_rep(parts, p):
     return mat_transpose(matrix(solve_columns(basis_rows, [list(row) for row in zip(*images)])))
 
 
+def sorted_on(word, blocks):
+    """Whether the word is weakly increasing along every block, pair by pair.
+
+    The per-word test that _factored's C-speed filter replaced, kept as its oracle.
+    """
+    return all(word[i] <= word[j] for block, _ in blocks for i, j in zip(block, block[1:]))
+
+
+def scatter_times_block_sum(coeffs, block, sign, swap):
+    """Σ_{g in S_block} χ(g)·g on coeffs as the chain Π_j (1 + sign·L_j), every step a scatter.
+
+    Each step scatters the step's nonzeros through the scatter table
+    swap(i, j) of each transposition (i+1 j+1), i < j in block. The kernel
+    that group_ring._times_block_sum's gathers replaced, kept as its oracle.
+    """
+    for n, j in enumerate(block[1:], start=1):
+        support = [(k, c if sign > 0 else -c) for k, c in enumerate(coeffs) if c]
+        out = list(coeffs)
+        for i in block[:n]:
+            table = swap(i, j)
+            for k, c in support:
+                out[table[k]] += c
+        coeffs = out
+    return coeffs
+
+
+def kernel_vectors(rng, size: int) -> list[tuple[list, bool]]:
+    """(vector, canonical) pairs for the block-sum kernel, sparse through dense.
+
+    Int vectors with one nonzero, a tenth, just under half, exactly half
+    (when size is even) and all nonzero; an all-Fraction vector with some
+    Fraction zeros; and a canonical mixed int/Fraction vector (canonical
+    True), as the package's constructors leave them.
+    """
+    def ints(count):
+        kept = set(rng.sample(range(size), count))
+        return [rng.choice((-3, -2, -1, 1, 2, 3)) if k in kept else 0 for k in range(size)]
+
+    counts = {1, max(1, size // 10), max(1, (size - 1) // 2), size}
+    if size % 2 == 0:
+        counts.add(size // 2)
+    fractions = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(size)]
+    return ([(ints(count), False) for count in sorted(counts)]
+            + [(fractions, False), (list(map(as_rational, fractions)), True)])
+
+
+def assert_block_sum_matches_scatter(coeffs, block, sign, swap, canonical):
+    """The gather kernel against the scatter oracle, value for value and type for type.
+
+    On a mixed int/Fraction vector a gather adds a step's Fraction zeros,
+    which the scatter skips, so an int entry can come out as Fraction(k);
+    there the two are compared as the constructors store them (as_rationals).
+    """
+    got = _times_block_sum(coeffs, block, sign, swap)
+    want = scatter_times_block_sum(coeffs, block, sign, swap)
+    if canonical:
+        got, want = as_rationals(got), as_rationals(want)
+    assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+
+
+def scatter_star(a: GroupRingElement) -> GroupRingElement:
+    """p -> p^{-1} by scattering each nonzero through the inverse table; star()'s oracle."""
+    inv = _inverse_table(a.degree)
+    out = [0] * len(a.coeffs)
+    for i, c in enumerate(a.coeffs):
+        if c:
+            out[inv[i]] = c
+    return GroupRingElement(a.degree, out)
+
+
 def module_rank(a, content):
     """Rank of a on the span of the words with content[v] copies of letter v.
 
@@ -270,7 +340,7 @@ def module_rank(a, content):
     index = {w: i for i, w in enumerate(words)}
     terms = {p.images: c for p, c in a.terms()}
     blocks = _stabilizer_blocks(terms)
-    words = [w for w in words if _sorted_on(w, blocks)]
+    words = [w for w in words if sorted_on(w, blocks)]
     rows = [{} for _ in words]
     for images, c in terms.items():
         # p.w holds w[k] at position p(k)

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer,
+from conftest import (assert_block_sum_matches_scatter, kernel_vectors, module_rank, random_element,
+                      rank_test_elements, scanned_stabilizer_symmetrizer, scatter_star, sorted_on,
                       sparse_element)
 from symcurv import (
     BlockMatrixImage,
@@ -24,7 +26,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import _factored, _inverse_table, _stabilizer_blocks
+from symcurv.group_ring import _factored, _inverse_table, _numerators, _stabilizer_blocks, _swap_table
 from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
 
@@ -390,6 +392,44 @@ def test_factored_form_rebuilds_the_curvature_symmetrizer(u):
     ystar = young_symmetrizer(curvature_tableau(u)).star()
     assert _factored(ystar)[1]  # y* = C R is stable under its rows
     assert _rebuilt(ystar) == ystar
+
+
+def test_factored_filter_matches_the_per_word_test():
+    # one block pair, several pairs over one block, pairs over two blocks, no pairs
+    swap12 = basis([2, 1, 3])
+    elements = [GroupRingElement.identity(3) + swap12, GroupRingElement.identity(3) - swap12,
+                GroupRingElement.identity(4).times_group_sum([1, 2]).times_group_sum([3, 4], signed=True),
+                random_element(random.Random(3), 4)]
+    elements += [young_symmetrizer(curvature_tableau(u)).star() for u in (0, 1, 2, 3)]
+    elements += rank_test_elements(random.Random(75), 5)
+    for a in elements:
+        den, numerators = _numerators(a)
+        blocks = _stabilizer_blocks(numerators)
+        assert _factored(a) == (den, blocks, {w: n for w, n in numerators.items() if sorted_on(w, blocks)})
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7])
+def test_times_block_sum_matches_the_scatter_oracle(degree):
+    rng = random.Random(80 + degree)
+    swap = partial(_swap_table, degree)
+    blocks = [list(range(degree)), sorted(rng.sample(range(degree), 2))]
+    if degree >= 4:
+        blocks.append(sorted(rng.sample(range(degree), 3)))
+    for coeffs, canonical in kernel_vectors(rng, factorial(degree)):
+        for block in blocks:
+            for sign in (1, -1):
+                assert_block_sum_matches_scatter(coeffs, block, sign, swap, canonical)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
+def test_star_matches_the_scatter_oracle(degree):
+    rng = random.Random(90 + degree)
+    elements = [GroupRingElement.zero(degree), GroupRingElement.identity(degree),
+                random_element(rng, degree), sparse_element(rng, degree, 5)]
+    if degree >= 4:
+        elements.append(young_symmetrizer(curvature_tableau(degree - 4)))
+    for a in elements:
+        assert [(type(c), c) for c in a.star().coeffs] == [(type(c), c) for c in scatter_star(a).coeffs]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])

@@ -7,7 +7,9 @@ from math import factorial, perm, prod
 import pytest
 
 from conftest import (
+    assert_block_sum_matches_scatter,
     direct_apply,
+    kernel_vectors,
     direct_tensor_product,
     module_rank,
     random_alternating2,
@@ -44,6 +46,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv import group_ring as group_ring_module
+from symcurv.group_ring import _swap
 from symcurv import tensor as tensor_module
 from symcurv.linalg import RowBasis
 from symcurv.tensor import (
@@ -240,6 +243,49 @@ def test_dense_action_splits_the_operator_once(monkeypatch):
     _compiled_action.cache_clear()
 
 
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_block_sum_on_slot_tables_matches_the_scatter_oracle(order):
+    identity = tuple(range(1, order + 1))
+    for dim in (1, 2, 3, 4):
+        rng = random.Random(60 + 10 * order + dim)
+        swap = lambda i, j: _slot_lookup(_swap(identity, i, j), order, dim)
+        blocks = [list(range(order)), sorted(rng.sample(range(order), 2))]
+        for coeffs, canonical in kernel_vectors(rng, dim ** order):
+            for block in blocks:
+                for sign in (1, -1):
+                    assert_block_sum_matches_scatter(coeffs, block, sign, swap, canonical)
+
+
+def test_dense_branch_edge_cases():
+    rng = random.Random(23)
+    cases = []
+    for order in (2, 3, 4, 5):
+        # the zero operator has no words to gather
+        dense = DenseTensor(order, 3, [rng.choice((-2, -1, 1, 2)) for _ in range(3 ** order)])
+        cases.append((GroupRingElement.zero(order), dense))
+        # at dim 1 every slot table has one entry
+        for value in (4, Fraction(-5, 3)):
+            one = DenseTensor(order, 1, [value])
+            ops = [GroupRingElement.zero(order), GroupRingElement.identity(order),
+                   sparse_element(rng, order, 3), young_symmetrizer(standard_tableaux((order - 1, 1))[0])]
+            if order >= 4:
+                ops.append(curvature_symmetrizer_star(order - 4))
+            cases += [(a, one) for a in ops]
+        # numerators other than ±1 over den > 1, a first word at -1, on a Fraction tensor
+        fractions = DenseTensor(order, 3, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                                           for _ in range(3 ** order)])
+        ops = [_slot_sum(order, ("()", Fraction(2, 3)), ("(1 2)", Fraction(-5, 3)),
+                         (f"(1 {order})", Fraction(7, 2))),
+               _slot_sum(order, ("()", -1), ("(1 2)", 3), (f"(1 2 {order})" if order > 2 else "(1 2)", 1)),
+               sparse_element(rng, order, 4).scale(Fraction(-4, 7))]
+        if order >= 4:
+            ops.append(curvature_symmetrizer_star(order - 4).scale(Fraction(-5, 6)))
+        cases += [(a, fractions) for a in ops]
+    for a, t in cases:
+        assert 2 * t.coords.count(0) <= len(t.coords)  # the dense branch
+        assert _typed(apply_operator(a, t)) == _typed(direct_apply(a, t))
+
+
 def _sparse_operators(order):
     """Operators with Fraction coefficients, and ones whose terms cancel on repeated entries."""
     rng = random.Random(40 + order)
@@ -354,6 +400,31 @@ def test_compiled_action_cache_is_bounded(monkeypatch):
         patterns = _compiled_action(a, 6)
         assert _held_cells(patterns) == patterns.cells <= 2000
         assert patterns.full and len(patterns) < roomy
+    _compiled_action.cache_clear()
+
+
+def test_unstored_patterns_are_merged_once_per_call(monkeypatch):
+    # with room for few patterns, a pattern the operator cannot keep is merged
+    # once per call, not once per nonzero that has it
+    rng = random.Random(78)
+    size = 6 ** 5
+    kept = set(rng.sample(range(size), size // 2 - 1))
+    t = DenseTensor(5, 6, [rng.randint(1, 3) if k in kept else 0 for k in range(size)])
+    distinct = len({_pattern(j, 5, 6) for j in kept})
+    a = curvature_symmetrizer_star(1)
+    expected = direct_apply(a, t)
+    merges = []
+    merge = tensor_module._Patterns.merge
+    monkeypatch.setattr(tensor_module._Patterns, "merge",
+                        lambda self, pattern, spare: merges.append(pattern) or merge(self, pattern, spare))
+    monkeypatch.setattr(tensor_module, "_COMPILED_CELLS", 2000)
+    _compiled_action.cache_clear()
+    for _ in range(3):
+        merges.clear()
+        assert apply_operator(a, t) == expected
+        assert len(set(merges)) == len(merges) <= distinct
+    assert _compiled_action(a, 6).full
+    assert 0 < len(merges) == distinct - len(_compiled_action(a, 6))
     _compiled_action.cache_clear()
 
 
