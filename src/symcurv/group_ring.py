@@ -5,8 +5,9 @@ Elements are dense coefficient vectors indexed by the canonical
 what is left and the group sums of its right stabilizer (_factored),
 convolves a with what is left and runs each group sum as a chain of
 Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974; G. Murphy,
-J. Algebra 69, 1981). The transform and the tensor action read the same
-split. Products run on integer numerators over each factor's common
+J. Algebra 69, 1981), gathering at C speed through each transposition's
+table once a vector is half nonzero. The transform and the tensor action
+read the same split. Products run on integer numerators over each factor's common
 denominator, and each nonzero of the product is divided once.
 Everything is an exact rational; floats never enter.
 Right-ideal ranks are read off Fourier blocks.

@@ -9,8 +9,9 @@ composition order.
 
 An operator is compiled once per dimension (_compiled_action). On a
 tensor at least half nonzero it acts the way it multiplies, split by
-group_ring._factored; on a sparser tensor its terms are merged by output
-once per equal-entry pattern of the coordinates (_Patterns).
+group_ring._factored, each pass a C-speed gather over the coordinates;
+on a sparser tensor its terms are merged by output once per equal-entry
+pattern of the coordinates (_Patterns).
 tensor_product writes only products of nonzeros: on sparse tensors the
 interpreted loops grow with the support, and only C-speed passes
 (allocation, the nonzero filter, the constructor's type scan) touch all
