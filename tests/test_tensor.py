@@ -9,8 +9,8 @@ import pytest
 from conftest import (
     assert_block_sum_matches_scatter,
     direct_apply,
-    kernel_vectors,
     direct_tensor_product,
+    kernel_vectors,
     module_rank,
     random_alternating2,
     random_element,
@@ -46,8 +46,8 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv import group_ring as group_ring_module
-from symcurv.group_ring import _swap
 from symcurv import tensor as tensor_module
+from symcurv.group_ring import _swap
 from symcurv.linalg import RowBasis
 from symcurv.tensor import (
     _COMPILED_CELLS,
