@@ -59,11 +59,17 @@ def _partition_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _read_text(path: str) -> str:
+def _read_document(path: str, kind):
+    """kind.from_json of the file at path (- for stdin); nesting too deep to read is a ValueError."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return kind.from_json(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -177,7 +183,7 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    element = GroupRingElement.from_json(_read_text(args.element))
+    element = _read_document(args.element, GroupRingElement)
     image = fourier_transform(element)
     if args.json:
         print(json.dumps({
@@ -199,15 +205,15 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_gamma_hat(args) -> int:
-    s = DenseTensor.from_json(_read_text(args.s))
-    shat = DenseTensor.from_json(_read_text(args.shat))
+    s = _read_document(args.s, DenseTensor)
+    shat = _read_document(args.shat, DenseTensor)
     result = gamma_hat(s, shat)
     _write_text(args.out, result.to_json())
     return 0
 
 
 def _cmd_check_tensor(args) -> int:
-    tensor = DenseTensor.from_json(_read_text(args.tensor))
+    tensor = _read_document(args.tensor, DenseTensor)
     if tensor.order == 4:
         report = is_algebraic_curvature(tensor)
         kind = "algebraic curvature tensor"
@@ -230,7 +236,7 @@ def _cmd_check_tensor(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.element is not None:
-        element = GroupRingElement.from_json(_read_text(args.element))
+        element = _read_document(args.element, GroupRingElement)
     elif args.xi_nu is not None:
         element = fourier_xi(args.xi_nu)
     elif args.eta:

@@ -35,14 +35,13 @@ The product of two images, @, multiplies block by block with
 linalg.mat_mul, which is exact on integer numerators too. Block sizes
 are read from one table of hook dimensions per degree (_block_sizes, at
 most MAX_DEGREE entries), shared by the BlockMatrixImage constructors,
-the zero blocks of a transform and the work bound.
+the zero blocks of a transform and the shape check of block_ranks.
 
 An element is transformed the way it is multiplied, split once by
 group_ring._factored: the recursion covers the rest of its support, and
-each group sum is a Jucys-Murphy chain. The work bound still counts
-descent-tree words, the words on the first-descent chains of that
-support, times Σ f_λ² over the shapes built. That overstates Clausen's
-own work, and it is checked before any matrix is built.
+each group sum is a Jucys-Murphy chain. The degree cap MAX_DEGREE is the
+only limit: a dense element of degree 8 goes forward, back or to its
+ranks in seconds.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg, seminormal
 from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _require_degree
@@ -69,12 +68,8 @@ from .tableaux import (
     validate_partition,
 )
 
-Word = tuple[int, ...]
 # A generator's columns: column a lists the (row, entry) pairs of its nonzeros.
 Generator = tuple[tuple[tuple[int, int], ...], ...]
-
-# Bound on (words in a transform's descent tree) x Σ f_λ² over the shapes it builds.
-MAX_TRANSFORM_WORK = 2**25
 
 
 def _checked_shape(parts: Sequence[int]) -> Partition:
@@ -174,35 +169,13 @@ def _generators(parts: Partition) -> tuple[Generator, ...]:
     return tuple(gens)
 
 
-def _descent_words(words: Iterable[Word]) -> int:
-    """How many words lie on the first-descent chains from the given words to the identity.
-
-    The parent of a word w with first descent i (w[i] > w[i+1], 0-based) is
-    w with those two entries swapped, one inversion shorter. The identity
-    counts when no word is given.
-    """
-    seen: set[Word] = set()
-    for w in words:
-        while w not in seen:
-            seen.add(w)
-            i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
-            if i is None:
-                break
-            w = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-    return max(len(seen), 1)
-
-
 def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[Block | None]:
     """Seminormal D_λ(a) per shape, None for a zero block.
 
     a is split by _factored: Clausen's recursion covers its rest and each
-    group sum is a Jucys-Murphy chain. Refuses before any matrix is built
-    when the words on the first-descent chains of the rest's support times
-    Σ f_λ² exceed MAX_TRANSFORM_WORK.
+    group sum is a Jucys-Murphy chain.
     """
     den, stabilizer, numerators = _factored(a)
-    sizes = _block_sizes(a.degree)
-    _require_work(_descent_words(numerators), [sizes[s] for s in shapes])
     values = [0] * factorial(a.degree)
     rank = _rank_table(a.degree)
     for w, n in numerators.items():
@@ -340,13 +313,6 @@ class BlockMatrixImage:
         return f"<BlockMatrixImage degree={self.degree} blocks {sizes}>"
 
 
-def _require_work(words: int, sizes: Iterable[int]) -> None:
-    """Refuse when words x Σ f² over the block sizes f exceeds MAX_TRANSFORM_WORK."""
-    work = words * sum(f * f for f in sizes)
-    if work > MAX_TRANSFORM_WORK:
-        raise ValueError(f"transform work {work} exceeds the bound {MAX_TRANSFORM_WORK}")
-
-
 def fourier_transform(a: GroupRingElement) -> BlockMatrixImage:
     """Blockwise sum of a(p) times the representation matrix of p."""
     shapes = partitions_of(a.degree)
@@ -369,15 +335,13 @@ def inverse_fourier(image: BlockMatrixImage) -> GroupRingElement:
     Coefficient at p is the dimension-weighted sum over shapes of
     trace(D(p^{-1}) . block), divided by r!. Each nonzero block B is taken to
     seminormal form, P^{-1}·B·P, on integer numerators, and the adjoint of
-    Clausen's recursion gives every coefficient at once. Refuses when r!
-    words times Σ f_λ² over the nonzero blocks exceed MAX_TRANSFORM_WORK.
+    Clausen's recursion gives every coefficient at once.
     """
     degree = image.degree
-    nonzero = [(shape, block) for shape, block in zip(partitions_of(degree), image.blocks)
-               if any(map(any, block))]
-    _require_work(factorial(degree), (len(block) for _, block in nonzero))
     blocks = {}
-    for shape, block in nonzero:
+    for shape, block in zip(partitions_of(degree), image.blocks):
+        if not any(map(any, block)):
+            continue
         p, p_den, q, q_den = _intertwiner(shape)
         den = lcm(*(x.denominator for row in block for x in row))
         rows = [[int(len(block) * den * x) for x in row] for row in block]

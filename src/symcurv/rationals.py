@@ -9,6 +9,7 @@ when every value is already an int.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -39,9 +40,21 @@ def as_rationals(values: Iterable) -> tuple[Rational, ...]:
     return tuple(v if type(v) is int else as_rational(v) for v in values)
 
 
+# The one text form of a scalar, on the wire and on the command line alike.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Rational:
-    """Parse 'num/den' or an integer string into an exact scalar."""
-    return as_rational(Fraction(text.strip()))
+    """Parse text of the form [+-]?[0-9]+(/[0-9]+)? into an exact scalar.
+
+    Only ASCII digits are read, with no spaces, decimals, exponents or
+    underscores, so what is accepted does not depend on the Python version.
+    """
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not of the form [+-]?[0-9]+(/[0-9]+)?: {text!r}")
+    num, den = match.groups()
+    return int(num) if den is None else as_rational(Fraction(int(num), int(den)))
 
 
 def format_rational(value: Rational) -> str:

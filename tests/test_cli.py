@@ -316,19 +316,17 @@ def test_rank_subcommand(capsys):
     assert out.strip() == str(weyl_dimension((3, 2), 1000000))
 
 
-def test_rank_work_bound_is_fixed(capsys, tmp_path):
+def test_rank_answers_at_degrees_7_and_8(capsys, tmp_path):
     # the degree-7 class at dim 7 needs the 5040-word weight space the old cap refused
     code, out, _ = run_cli(capsys, "rank", "--curvature", "3", "--dim", "7")
     assert code == 0
     assert out.strip() == str(weyl_dimension((5, 2), 7)) == "6468"
-    # a dense degree-8 element is refused once its descent tree is counted
+    # a dense degree-8 element is invertible, so it acts on the tensors of order 8 bijectively
     path = tmp_path / "dense8.json"
     path.write_text(random_element(random.Random(8), 8).to_json())
-    for argv in (["fourier", str(path)], ["rank", "--element", str(path), "--dim", "2"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: transform work ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "rank", "--element", str(path), "--dim", "2")
+    assert code == 0
+    assert out.strip() == str(2 ** 8)
     with pytest.raises(SystemExit) as excinfo:
         main(["rank", "--curvature", "1", "--dim", "3", "--max-dim", "100000"])
     assert excinfo.value.code == 2

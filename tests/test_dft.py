@@ -25,7 +25,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv import seminormal
-from symcurv.dft import MAX_TRANSFORM_WORK, _generators, _intertwiner, _specht_matrix, block_ranks
+from symcurv.dft import _generators, _intertwiner, _specht_matrix, block_ranks
 from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 from symcurv.tensor import curvature_symmetrizer_star
@@ -341,12 +341,6 @@ def test_recursion_order_groups_words_by_last_entry(r):
     assert all(group[k].images[-1] == j // step + 1 for j, k in enumerate(order))
 
 
-def test_transform_work_bound_admits_dense_degree_7():
-    # 7! tree words times Σ f_λ² = 7! fit; 8! words times the 1430 of the shapes
-    # with at most two rows do not (the refusals are tested at the CLI and in ranks)
-    assert factorial(7) ** 2 <= MAX_TRANSFORM_WORK < factorial(8) * 1430
-
-
 def test_inverse_of_identity_blocks():
     assert inverse_fourier(BlockMatrixImage.one(3)) == GroupRingElement.identity(3)
 
@@ -360,12 +354,15 @@ def test_images_above_the_degree_cap_refused_before_any_block_is_built():
             build()
 
 
-def test_inverse_transform_work_bound():
-    # one identity (4 3 1) block: 8! words times 70² is over the bound, refused before the tree
-    big = BlockMatrixImage.from_single_block(8, (4, 3, 1), identity_matrix(70))
-    with pytest.raises(ValueError, match="transform work"):
-        inverse_fourier(big)
-    # the trivial block alone is 8! x 1: it inverts to the normalized group sum
+def test_inverse_of_degree_8_blocks():
+    # one identity (4 3 1) block inverts to the central idempotent (70/8!) Σ_p χ(p^{-1}) p
+    shape = (4, 3, 1)
+    central = inverse_fourier(BlockMatrixImage.from_single_block(8, shape, identity_matrix(70)))
+    rng = random.Random(431)
+    for p in [Permutation.identity(8)] + [Permutation(rng.sample(range(1, 9), 8)) for _ in range(6)]:
+        assert central.coefficient(p) == Fraction(70, factorial(8)) * character(shape, p.inverse())
+    assert central.coefficient(Permutation.identity(8)) == Fraction(70 * 70, factorial(8))
+    # the trivial block alone inverts to the normalized group sum
     trivial = inverse_fourier(BlockMatrixImage.from_single_block(8, (8,), ((1,),)))
     assert trivial == GroupRingElement(8, [Fraction(1, factorial(8))] * factorial(8))
 

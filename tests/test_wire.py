@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from symcurv import DenseTensor, GroupRingElement, Permutation
 from symcurv.cli import main
-from symcurv.rationals import wire_scalar
+from symcurv.rationals import parse_rational, wire_scalar
 
 ELEMENT = {"degree": 2, "terms": [{"perm": [2, 1], "coeff": "1/2"}]}
 TENSOR = {"order": 2, "dim": 2, "coords": [{"idx": [1, 2], "val": "-2/7"}]}
@@ -108,6 +108,58 @@ def test_wire_scalar_rules():
             wire_scalar(bad, "x")
     with pytest.raises(ValueError):
         wire_scalar("3", "x", integer=True)
+
+
+# one grammar, [+-]?[0-9]+(/[0-9]+)?, on every Python version
+ACCEPTED_TEXT = {
+    "3": 3, "-4/6": Fraction(-2, 3), "+3": 3, "6/3": 2, "007": 7, "-0": 0, "0/5": 0,
+    "-12/8": Fraction(-3, 2), "+1/2": Fraction(1, 2),
+}
+REFUSED_TEXT = [
+    "1e3", "1.5", "0.5", "2.0", ".5", "1.", " 3", "3 ", "\t3\n", "1/2 ", "1 / 2", "\u0663", "\uff13",
+    "1_0", "1/1_0", "3/-4", "3/+4", "+-3", "1/2/3", "", "-", "/2", "3/", "1/0", "0/0", "inf", "nan", "0x10",
+    "\u00bd",
+]
+
+
+@pytest.mark.parametrize("text", sorted(ACCEPTED_TEXT))
+def test_rational_text_accepted(text, capsys):
+    value = ACCEPTED_TEXT[text]
+    for parsed in (parse_rational(text), wire_scalar(text, "x")):
+        assert parsed == value and type(parsed) is type(value)
+    assert main(["xi", f"--nu={text}", "--json"]) == 0
+    assert main(["rank", f"--xi-nu={text}", "--dim", "2"]) == 0
+
+
+@pytest.mark.parametrize("text", REFUSED_TEXT, ids=ascii)
+def test_rational_text_refused(text, capsys):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        wire_scalar(text, "x")
+    for argv in (["xi", f"--nu={text}"], ["rank", f"--xi-nu={text}", "--dim", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert "not an exact rational" in capsys.readouterr().err
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier", "{}"],
+    ["check-tensor", "{}"],
+    ["rank", "--element", "{}", "--dim", "2"],
+    ["gamma-hat", "--s", "{}", "--shat", "{}"],
+], ids=lambda argv: argv[0])
+def test_deeply_nested_document_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_ARRAY)
+    assert main([arg.format(path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err and err.count("\n") == 1
 
 
 _rationals = st.fractions(max_denominator=50).map(lambda q: int(q) if q.denominator == 1 else q)
