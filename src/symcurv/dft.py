@@ -288,8 +288,10 @@ class BlockMatrixImage:
     def from_single_block(cls, degree: int, parts: Sequence[int], block: Matrix) -> "BlockMatrixImage":
         _require_degree(degree)
         parts = validate_partition(parts)
-        blocks = [linalg.matrix(block) if shape == parts else linalg.zero_matrix(d)
-                  for shape, d in _block_sizes(degree).items()]
+        sizes = _block_sizes(degree)
+        if parts not in sizes:
+            raise ValueError(f"{parts} is not a partition of {degree}")
+        blocks = [linalg.matrix(block) if shape == parts else linalg.zero_matrix(d) for shape, d in sizes.items()]
         return cls(degree, blocks)
 
     def block(self, parts: Sequence[int]) -> Matrix:

@@ -17,8 +17,15 @@ form is block diagonal. Clausen's recursion follows (M. Clausen,
 Theoret. Comput. Sci. 67, 1989; D. Maslen, Math. Comp. 67, 1998): every
 w in S_r is c_k q with k = w(r), c_k = s_k···s_{r-1} and q in S_{r-1}, so
 D_λ(a) = Σ_k D(s_k)···D(s_{r-1}) ⊕_μ D_μ(a_k), a_k(q) = a(c_k q), the sum
-over the corners of λ. The inverse runs the adjoint recursion. Up to
-TABLE_DEGREE both read their blocks off a table of every D(w).
+over the corners of λ. The inverse runs the adjoint recursion.
+
+Both bottom out at TABLE_DEGREE = 4, where they read every D_λ(w) off a
+table. The tables are grown by the recursion's own rule from the degree
+below: D(c_r q) = ⊕_μ D_μ(q), then D(c_k q) = D(s_k)·D(c_{k+1} q), one
+row operation and one gcd per coset on its words' matrices side by side.
+The forward transform reads an entry-major layout of them and the
+adjoint a word-major one; each layout is built when it is first read,
+so ranks never build the adjoint's.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ Block = tuple[int, Rows]
 # a·row t + b·row u for each (u, a, b), u = -1 when b = 0.
 RowOps = tuple[int, tuple[tuple[int, int, int], ...]]
 
-TABLE_DEGREE = 3
+TABLE_DEGREE = 4
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +130,12 @@ def _nonzero(blocks: dict[Partition, Block]) -> dict[Partition, Block]:
     return {shape: block for shape, block in reduced if block is not None}
 
 
-def _direct_sum(parts: Partition, blocks: dict[Partition, Block]) -> Block | None:
-    """⊕_μ blocks[μ] over the corners of the shape, over one denominator; None when all are zero."""
+def _direct_sum(parts: Partition, blocks: dict[Partition, Block], width: int = 1) -> Block | None:
+    """⊕_μ blocks[μ] over the corners of the shape, over one denominator; None when all are zero.
+
+    With width w, each block holds w matrices side by side, entry (a, b) of
+    the j-th in column b·w + j, and so does the sum.
+    """
     corners = branches(parts)
     dens = [blocks[mu][0] for mu, _, _ in corners if mu in blocks]
     if not dens:
@@ -133,10 +144,10 @@ def _direct_sum(parts: Partition, blocks: dict[Partition, Block]) -> Block | Non
     rows: Rows = []
     for mu, offset, size in corners:
         if mu not in blocks:
-            rows += [[0] * f] * size
+            rows += [[0] * (f * width)] * size
             continue
         d, block = blocks[mu]
-        head, tail = [0] * offset, [0] * (f - offset - size)
+        head, tail = [0] * (offset * width), [0] * ((f - offset - size) * width)
         rows += [head + (row if d == den else [den // d * x for x in row]) + tail for row in block]
     return den, rows
 
@@ -156,25 +167,53 @@ def recursion_order(degree: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _table(parts: Partition) -> tuple[int, int, tuple, tuple]:
-    """(den, f, forward, adjoint) for a shape of weight at most TABLE_DEGREE.
+def _words(parts: Partition) -> Block:
+    """D(w) for every w in S_r side by side, r at most TABLE_DEGREE, over their least common denominator.
 
-    forward[i] lists entry i of D(w), row by row, over the words w in
-    recursion order; adjoint[j] lists D(w^{-1}) column by column for the
-    j-th word w. Both are over den.
+    Entry (a, b) of the j-th word in recursion order is rows[a][b·r! + j].
+    Grown from the smaller shapes by the recursion's own rule: the coset
+    c_r S_{r-1} = S_{r-1} holds ⊕_μ D_μ(q), and the coset of c_k holds
+    D(s_k) times the coset of c_{k+1}, one row operation and one gcd per
+    coset.
     """
     r = sum(parts)
     if r == 1:
-        return 1, 1, ((1,),), ((1,),)
+        return 1, [[1]]
+    n = factorial(r - 1)
+    cosets = [_direct_sum(parts, {mu: _words(mu) for mu, _, _ in branches(parts)}, n)]
+    for ops in generators(parts)[0][::-1]:
+        den, rows = cosets[-1]
+        cosets.append(_reduced((den * ops[0], _apply(rows, ops))))
+    den = lcm(*(d for d, _ in cosets))
+    cosets = [rows if d == den else [[den // d * x for x in row] for row in rows] for d, rows in cosets[::-1]]
+    out: Rows = [[] for _ in cosets[0]]
+    for b in range(0, len(out) * n, n):
+        for rows in cosets:
+            for row, coset_row in zip(out, rows):
+                row += coset_row[b:b + n]
+    return den, out
+
+
+@lru_cache(maxsize=None)
+def _forward_table(parts: Partition) -> tuple[int, int, tuple[list[int], ...]]:
+    """(den, f, table): table[i] lists entry i of D(w), row by row, over the words w in recursion order, over den."""
+    den, rows = _words(parts)
+    size = factorial(sum(parts))
+    return den, len(rows), tuple(row[i:i + size] for row in rows for i in range(0, len(row), size))
+
+
+@lru_cache(maxsize=None)
+def _adjoint_table(parts: Partition) -> tuple[int, tuple[list[int], ...]]:
+    """(den, table): table[j] lists D(w^{-1}) column by column for the j-th word w, over den."""
+    den, rows = _words(parts)
+    r = sum(parts)
     size = factorial(r)
-    blocks = [_cosets([int(i == j) for i in range(size)], r, [parts])[parts] for j in range(size)]
-    den = lcm(*(d for d, _ in blocks))
-    flats = [[x * (den // d) for row in rows for x in row] for d, rows in blocks]
     order = recursion_order(r)
     position = {k: j for j, k in enumerate(order)}
     inverse = _inverse_table(r)
-    transposes = [[x * (den // d) for column in zip(*rows) for x in column] for d, rows in blocks]
-    return den, len(blocks[0][1]), tuple(zip(*flats)), tuple(transposes[position[inverse[k]]] for k in order)
+    columns = range(0, len(rows) * size, size)
+    return den, tuple([row[b + j] for b in columns for row in rows]
+                      for j in (position[inverse[k]] for k in order))
 
 
 def forward(values: Sequence[int], r: int, shapes: Sequence[Partition]) -> dict[Partition, Block]:
@@ -186,7 +225,7 @@ def forward(values: Sequence[int], r: int, shapes: Sequence[Partition]) -> dict[
         return _cosets(values, r, shapes)
     out = {}
     for lam in shapes:
-        den, f, table, _ = _table(lam)
+        den, f, table = _forward_table(lam)
         flat = [sum(map(mul, values, entry)) for entry in table]
         out[lam] = (den, [flat[i:i + f] for i in range(0, len(flat), f)])
     return _nonzero(out)
@@ -227,7 +266,7 @@ def adjoint(blocks: dict[Partition, Block], r: int) -> tuple[int, list[int]]:
     if r <= TABLE_DEGREE:
         terms = []
         for lam, (den, rows) in blocks.items():
-            table_den, _, _, table = _table(lam)
+            table_den, table = _adjoint_table(lam)
             terms.append((den * table_den, [x for row in rows for x in row], table))
         den = lcm(*(d for d, _, _ in terms))
         return den, [sum(den // d * sum(map(mul, flat, table[j])) for d, flat, table in terms)

@@ -382,7 +382,9 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     if out is None:  # the zero operator has no words
         out = [0] * len(coords)
     if action.den != 1:
-        out = [Fraction(x, action.den) if x else 0 for x in out]
+        # outputs repeat few values, so each distinct numerator is divided once
+        quotients = {x: as_rational(Fraction(x, action.den)) for x in set(out)}
+        out = list(map(quotients.__getitem__, out))
     return DenseTensor(order, dim, out)
 
 

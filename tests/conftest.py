@@ -19,6 +19,7 @@ from symcurv import (
     symmetric_group,
     young_symmetrizer,
 )
+from symcurv import seminormal
 from symcurv.dft import _generators
 from symcurv.group_ring import _factored, _inverse_table, _positions, _stabilizer_blocks, _times_block_sum
 from symcurv.linalg import RowBasis, matrix, mat_transpose
@@ -450,6 +451,28 @@ def block_columns(a, shapes):
                 acc = total
         out.append(acc)
     return out, den
+
+
+def unit_vector_table(parts):
+    """(den, f, forward, adjoint) of a shape, by one _cosets transform per unit vector.
+
+    The table build that the grown tables replaced: forward[i] lists entry i
+    of D(w) row by row over the words w in recursion order, adjoint[j] lists
+    D(w^{-1}) column by column for the j-th word w, both over den. Run it
+    with seminormal.TABLE_DEGREE at 1 to keep the grown tables out of it.
+    """
+    r = sum(parts)
+    if r == 1:
+        return 1, 1, ((1,),), ((1,),)
+    size = factorial(r)
+    blocks = [seminormal._cosets([int(i == j) for i in range(size)], r, [parts])[parts] for j in range(size)]
+    den = lcm(*(d for d, _ in blocks))
+    flats = [[x * (den // d) for row in rows for x in row] for d, rows in blocks]
+    order = seminormal.recursion_order(r)
+    position = {k: j for j, k in enumerate(order)}
+    inverse = _inverse_table(r)
+    transposes = [[x * (den // d) for column in zip(*rows) for x in column] for d, rows in blocks]
+    return den, len(blocks[0][1]), tuple(zip(*flats)), tuple(transposes[position[inverse[k]]] for k in order)
 
 
 def backtrack_lr_coefficient(left, right, target):

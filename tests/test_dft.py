@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import pytest
 
 from conftest import (block_columns, descent_transform, random_element, rank_test_elements, sparse_element,
-                      tabloid_solve_rep)
+                      tabloid_solve_rep, unit_vector_table)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -341,6 +342,47 @@ def test_recursion_order_groups_words_by_last_entry(r):
     assert all(group[k].images[-1] == j // step + 1 for j, k in enumerate(order))
 
 
+@pytest.mark.parametrize("r", range(1, 5))
+def test_grown_tables_match_the_unit_vector_build(r, monkeypatch):
+    monkeypatch.setattr(seminormal, "TABLE_DEGREE", 1)
+    rows = lambda table: tuple(map(tuple, table))
+    for shape in partitions_of(r):
+        den, f, forward, adjoint = unit_vector_table(shape)
+        table_den, table_f, table = seminormal._forward_table(shape)
+        assert (table_den, table_f, rows(table)) == (den, f, rows(forward))
+        table_den, table = seminormal._adjoint_table(shape)
+        assert (table_den, rows(table)) == (den, rows(adjoint))
+
+
+def _table_degree_outputs(elements):
+    shapes = partitions_of(elements[0].degree)
+    images = [fourier_transform(a) for a in elements]
+    return pickle.dumps((images, [inverse_fourier(image) for image in images],
+                         [block_ranks(a, shapes) for a in elements]))
+
+
+@pytest.mark.parametrize("r", range(4, 8))
+def test_tables_at_degree_4_keep_every_value_and_type(r, monkeypatch):
+    rng = random.Random(440 + r)
+    elements = [sparse_element(rng, r, 6), young_symmetrizer(standard_tableaux((r - 2, 2))[0]).scale(Fraction(1, 3))]
+    if r < 7:
+        elements += rank_test_elements(rng, r)[:3] + [random_element(rng, r)]
+    pickled = _table_degree_outputs(elements)
+    monkeypatch.setattr(seminormal, "TABLE_DEGREE", 3)
+    assert _table_degree_outputs(elements) == pickled
+
+
+def test_block_ranks_builds_no_adjoint_table():
+    caches = (seminormal._words, seminormal._forward_table, seminormal._adjoint_table)
+    for cache in caches:
+        cache.cache_clear()
+    assert block_ranks(random_element(random.Random(45), 5), partitions_of(5)) == [1, 4, 5, 6, 5, 4, 1]
+    assert seminormal._forward_table.cache_info().currsize == len(partitions_of(4))
+    assert seminormal._adjoint_table.cache_info().currsize == 0
+    for cache in caches:
+        cache.cache_clear()
+
+
 def test_inverse_of_identity_blocks():
     assert inverse_fourier(BlockMatrixImage.one(3)) == GroupRingElement.identity(3)
 
@@ -437,6 +479,13 @@ def test_character_values():
     assert character((3,), Permutation.identity(3)) == 1
     assert character((1, 1, 1), Permutation([2, 1, 3])) == -1
     assert character((2, 1), Permutation.identity(3)) == 2
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1,), (2,)])
+def test_single_block_of_another_degree_is_refused(shape):
+    with pytest.raises(ValueError, match=rf"\({', '.join(map(str, shape))},?\) is not a partition of 3"):
+        BlockMatrixImage.from_single_block(3, shape, ((1,),))
+    assert BlockMatrixImage.from_single_block(3, (3,), ((1,),)).block((3,)) == ((1,),)
 
 
 def test_block_image_validation():

@@ -263,6 +263,9 @@ def test_dense_branch_edge_cases():
         # the zero operator has no words to gather
         dense = DenseTensor(order, 3, [rng.choice((-2, -1, 1, 2)) for _ in range(3 ** order)])
         cases.append((GroupRingElement.zero(order), dense))
+        if order >= 4:
+            # few distinct numerators over den 3, some of them multiples of 3
+            cases.append((curvature_symmetrizer_star(order - 4).scale(Fraction(1, 3)), dense))
         # at dim 1 every slot table has one entry
         for value in (4, Fraction(-5, 3)):
             one = DenseTensor(order, 1, [value])
