@@ -2,11 +2,15 @@
 
 Ranks come from a fraction-free row reduction over the integers. A row
 is an iterable of (column, value) pairs with distinct columns; zero
-values are skipped and there is no width, so a row costs only its
-nonzeros. Each row is cleared of denominators and divided by the gcd of
-its entries, then reduced incrementally against the basis found so far,
-in insertion order; the basis keeps primitive integer rows as
-{column: int} dicts, each with its pivot, the lowest nonzero column.
+values are skipped and there is no width, so a row costs only the pairs
+it is given, and callers with sparse rows pass only the nonzeros. Each
+row is cleared of denominators and divided by the gcd of its entries,
+then reduced incrementally against the basis found so far, in insertion
+order; the basis keeps primitive integer rows as {column: int} dicts,
+each with its pivot, the lowest nonzero column. A row of ints has no
+denominators to clear, and a row that no basis row reduced is already
+primitive, so neither is rescaled; a row with any other entry is read
+through as_rational, so floats, strings and bools raise TypeError.
 
 Matrices are tuples of rows of exact scalars. Products run on integer
 numerators: mat_mul brings each factor over one denominator, the lcm of
@@ -23,16 +27,22 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .rationals import Rational, as_rational, as_rationals
+from .rationals import Rational, all_ints, as_rational, as_rationals
 
 Entries = Iterable[tuple[int, Rational]]
 
 
 def _primitive(entries: Entries) -> dict[int, int]:
-    """The nonzero entries as coprime integers, a positive multiple of the row."""
+    """The nonzero entries as coprime integers, a positive multiple of the row.
+
+    A row of ints is only divided by its gcd. Any other row is normalized
+    by as_rational first, so a float, string or bool raises TypeError.
+    """
     row = {i: x for i, x in entries if x}
-    scale = lcm(*(x.denominator for x in row.values()))
-    row = {i: int(x * scale) for i, x in row.items()}
+    if not all_ints(row.values()):
+        row = {i: as_rational(x) for i, x in row.items()}
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = {i: int(x * scale) for i, x in row.items()}
     g = gcd(*row.values())
     if g > 1:
         row = {i: x // g for i, x in row.items()}
@@ -58,9 +68,11 @@ class RowBasis:
     def residual(self, entries: Entries) -> dict[int, int] | None:
         """Reduce a row against the basis; None if it is dependent."""
         v = _primitive(entries)
+        reduced = False
         for pivot, basis_row in zip(self._pivots, self._rows):
             b = v.get(pivot)
             if b:
+                reduced = True
                 a = basis_row[pivot]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
@@ -71,7 +83,8 @@ class RowBasis:
                         v[i] = x
                     else:
                         del v[i]
-        return _primitive(v.items()) or None
+        # a row no basis row touched is still primitive
+        return (_primitive(v.items()) if reduced else v) or None
 
     def add(self, entries: Entries) -> bool:
         """Insert a row; True iff it enlarged the span."""

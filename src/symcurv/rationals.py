@@ -4,7 +4,10 @@ Scalars are plain ints or ``fractions.Fraction``; a Fraction with
 denominator 1 is collapsed to int so equal values have equal
 representations. Floats are rejected everywhere. Constructors take
 their scalars through as_rationals, which costs one C-speed type scan
-when every value is already an int.
+when every value is already an int (all_ints, the one such scan, which
+linalg's rows and the tensor kernels share). The kernels' outputs skip
+as_rationals only where every value is canonical by construction
+(tensor._kernel_output).
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ def as_rational(value) -> Rational:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def all_ints(values: Iterable) -> bool:
+    """Whether every value has type int (so no bool), by one type scan at C speed."""
+    return {int}.issuperset(map(type, values))
+
+
 def as_rationals(values: Iterable) -> tuple[Rational, ...]:
     """The values as a tuple of canonical scalars.
 
@@ -35,7 +43,7 @@ def as_rationals(values: Iterable) -> tuple[Rational, ...]:
     it raises as as_rational does.
     """
     values = tuple(values)
-    if {int}.issuperset(map(type, values)):
+    if all_ints(values):
         return values
     return tuple(v if type(v) is int else as_rational(v) for v in values)
 

@@ -14,8 +14,12 @@ on a sparser tensor its terms are merged by output once per equal-entry
 pattern of the coordinates (_Patterns).
 tensor_product writes only products of nonzeros: on sparse tensors the
 interpreted loops grow with the support, and only C-speed passes
-(allocation, the nonzero filter, the constructor's type scan) touch all
-dim ** order coordinates.
+(allocation, the nonzero filter, the copy into a tuple) touch all
+dim ** order coordinates. The kernels build their outputs through
+_kernel_output, which skips the constructor's type scan when every value
+is canonical by construction: integer coefficients on int nonzeros, or
+quotients that came out of as_rational. On a sparse tensor whether the
+nonzeros are ints is read off the nonzeros alone.
 
 Public indices are 1-based, matching the rest of the package.
 """
@@ -34,9 +38,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dft import block_ranks
 from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _positions, _swap, _times_block_sum
-from .linalg import rank_of_rows
+from .linalg import RowBasis
 from .permutation import Permutation, _rank_table, symmetric_group
-from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
+from .rationals import Rational, all_ints, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 from .tableaux import curvature_tableau, partitions_of, weyl_dimension, young_symmetrizer
 
 # Dense coordinate count a tensor read from JSON may ask for.
@@ -328,6 +332,22 @@ def _compiled_action(a: GroupRingElement, dim: int) -> _Patterns:
     return _Patterns(a, dim)
 
 
+def _kernel_output(order: int, dim: int, coords: list[Rational], canonical: bool) -> DenseTensor:
+    """The tensor a kernel wrote, built without the constructor's scan when canonical is true.
+
+    canonical must hold only when every coordinate is already a canonical
+    scalar: an int product or sum of ints, or a quotient that came out of
+    as_rational. Otherwise the coordinates go through DenseTensor, which
+    collapses the Fraction(k, 1) that a product such as (1/2)·2 leaves.
+    """
+    if not canonical:
+        return DenseTensor(order, dim, coords)
+    t = object.__new__(DenseTensor)
+    for name, value in zip(DenseTensor.__slots__, (order, dim, tuple(coords))):
+        object.__setattr__(t, name, value)
+    return t
+
+
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
 
@@ -366,7 +386,7 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
                     merged = spilled[pattern] = action.merge(pattern, spare)
             for c, high, low in merged:
                 out[high[hi] + low[lo]] += c * v
-        return DenseTensor(order, dim, out)
+        return _kernel_output(order, dim, out, action.den == 1 and all_ints(compress(coords, coords)))
     identity = tuple(range(1, order + 1))
     for block, sign in action.blocks:
         coords = _times_block_sum(coords, block, sign,
@@ -381,11 +401,12 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
             out = list(image if out is None else map(add, out, image))
     if out is None:  # the zero operator has no words
         out = [0] * len(coords)
-    if action.den != 1:
-        # outputs repeat few values, so each distinct numerator is divided once
-        quotients = {x: as_rational(Fraction(x, action.den)) for x in set(out)}
-        out = list(map(quotients.__getitem__, out))
-    return DenseTensor(order, dim, out)
+    if action.den == 1:
+        # a canonical zero is an int, and at least half of t is nonzero, so all of t is scanned
+        return _kernel_output(order, dim, out, all_ints(t.coords))
+    # outputs repeat few values, so each distinct numerator is divided once
+    quotients = {x: as_rational(Fraction(x, action.den)) for x in set(out)}
+    return _kernel_output(order, dim, list(map(quotients.__getitem__, out)), True)
 
 
 def t_b(t: DenseTensor, b: Iterable[Iterable[Rational]]) -> GroupRingElement:
@@ -422,7 +443,8 @@ def tensor_product(left: DenseTensor, right: DenseTensor) -> DenseTensor:
         base = i * width
         for j, b in support:
             coords[base + j] = a * b
-    return DenseTensor(left.order + right.order, left.dim, coords)
+    ints = all_ints(compress(left.coords, left.coords)) and all_ints(compress(right.coords, right.coords))
+    return _kernel_output(left.order + right.order, left.dim, coords, ints)
 
 
 # -- curvature-type generators ---------------------------------------------
@@ -604,11 +626,14 @@ def projector_rank(a: GroupRingElement, dim: int) -> int:
 
 
 def generator_span_rank(family: Iterable[DenseTensor]) -> int:
-    """Rank of a family of equal-shape tensors as coordinate vectors."""
+    """Rank of a family of equal-shape tensors as coordinate vectors, each row its nonzeros."""
     family = list(family)
     if len({(t.order, t.dim) for t in family}) > 1:
         raise ValueError("family members must share order and dimension")
-    return rank_of_rows(t.coords for t in family)
+    span = RowBasis()
+    for t in family:
+        span.add(compress(enumerate(t.coords), t.coords))
+    return span.rank
 
 
 # -- deterministic basis families --------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Callable
 
 from .dft import fourier_eta, fourier_xi
@@ -252,7 +252,8 @@ def _class_image(nu: Rational | None) -> tuple[DenseTensor, ...]:
     e = class_idempotent(nu)
     image = RowBasis()
     for b in coordinate_basis(3, 3):
-        image.add(enumerate(apply_operator(e, b).coords))
+        coords = apply_operator(e, b).coords
+        image.add(compress(enumerate(coords), coords))
     return tuple(DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows)
 
 

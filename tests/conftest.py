@@ -217,6 +217,45 @@ class DenseRowBasis:
         return True
 
 
+def _rescaled_primitive(entries):
+    """The nonzero entries as coprime integers, every row rescaled through its denominators.
+
+    linalg._primitive before its all-int fast path, kept as its oracle.
+    """
+    row = {i: x for i, x in entries if x}
+    scale = lcm(*(x.denominator for x in row.values()))
+    row = {i: int(x * scale) for i, x in row.items()}
+    g = gcd(*row.values())
+    if g > 1:
+        row = {i: x // g for i, x in row.items()}
+    return row
+
+
+class RescaledRowBasis(RowBasis):
+    """RowBasis whose residual rescales every row and makes every residual primitive again.
+
+    The residual that the all-int fast path and the skip of an untouched
+    row's closing rescale replaced, kept as their oracle.
+    """
+
+    def residual(self, entries):
+        v = _rescaled_primitive(entries)
+        for pivot, basis_row in zip(self._pivots, self._rows):
+            b = v.get(pivot)
+            if b:
+                a = basis_row[pivot]
+                g = gcd(a, b)
+                ma, mb = a // g, b // g
+                v = {i: ma * x for i, x in v.items()}
+                for i, y in basis_row.items():
+                    x = v.get(i, 0) - mb * y
+                    if x:
+                        v[i] = x
+                    else:
+                        del v[i]
+        return _rescaled_primitive(v.items()) or None
+
+
 def _polytabloid(t, index):
     """The polytabloid of t on every tabloid of its shape."""
     vec = [0] * len(index)

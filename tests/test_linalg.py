@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 import pytest
 
-from conftest import DenseRowBasis, fraction_mat_mul, solve_columns
+from conftest import DenseRowBasis, RescaledRowBasis, fraction_mat_mul, solve_columns
 from symcurv import linalg
 from symcurv.linalg import (
     RowBasis,
@@ -100,6 +101,66 @@ def test_row_basis_sparse_pairs():
     assert basis.contains([(5, -7), (1, 14), (0, Fraction(-2, 5)), (3, -21), (10**9, 3)])
     assert not basis.contains([(3, 1)])
     assert basis.rank == 3
+
+
+def _mixed_rows(rng, width):
+    """Seeded rows of ints, canonical Fractions and Fraction(k, 1), with dependent rows mixed in."""
+    rows = []
+    for _ in range(rng.randint(1, width + 4)):
+        kind = rng.random()
+        if kind < 0.2 and rows:
+            k = rng.choice((-2, -1, 2, 3))
+            row = [k * x for x in rng.choice(rows)]
+        elif kind < 0.35 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            row = [x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
+        else:
+            row = [0 if rng.random() < 0.5 else rng.randint(-6, 6) for _ in range(width)]
+            style = rng.random()
+            if style < 0.3:
+                row = [Fraction(x, rng.choice((2, 3))) if rng.random() < 0.3 else x for x in row]
+            elif style < 0.5:
+                # Fraction(k, 1) entries, as sums of Fractions produce
+                row = [Fraction(x) if rng.random() < 0.3 else x for x in row]
+        rows.append(row)
+    return rows
+
+
+def _typed_rows(basis):
+    return [[(i, type(x), x) for i, x in row.items()] for row in basis.rows]
+
+
+@pytest.mark.parametrize("width", range(1, 31))
+def test_row_basis_matches_rescaling_oracle(width):
+    rng = random.Random(7100 + width)
+    feeds = (enumerate, lambda row: compress(enumerate(row), row))
+    for _ in range(3):
+        rows = _mixed_rows(rng, width)
+        oracle = RescaledRowBasis()
+        kept = [oracle.add(enumerate(row)) for row in rows]
+        probes = _mixed_rows(rng, width)
+        for feed in feeds:
+            basis = RowBasis()
+            assert [basis.add(feed(row)) for row in rows] == kept
+            assert basis.rank == oracle.rank
+            assert _typed_rows(basis) == _typed_rows(oracle)
+            for row in probes:
+                residual, expected = basis.residual(feed(row)), oracle.residual(enumerate(row))
+                assert residual == expected
+                assert residual is None or {int} == set(map(type, residual.values()))
+
+
+@pytest.mark.parametrize("row", [[0.5], ["1", 2], [True, 1], [1, 2.0], [Fraction(1, 2), True], [3, "4/5"]])
+def test_row_basis_refuses_non_rational_entries(row):
+    with pytest.raises(TypeError):
+        rank_of_rows([row])
+    with pytest.raises(TypeError):
+        RowBasis().add(enumerate(row))
+    basis = RowBasis()
+    assert basis.add([(0, 1), (1, 1)])
+    with pytest.raises(TypeError):
+        basis.contains(enumerate(row))
+    assert basis.rank == 1
 
 
 def test_solve_columns_exact():

@@ -289,6 +289,64 @@ def test_dense_branch_edge_cases():
         assert _typed(apply_operator(a, t)) == _typed(direct_apply(a, t))
 
 
+def _rebuilt(t):
+    """t's coordinates read again by the public constructor, which makes every scalar canonical."""
+    return _typed(DenseTensor(t.order, t.dim, list(t.coords)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_operator_outputs_are_canonical_type_for_type(order):
+    rng = random.Random(80 + order)
+    one = GroupRingElement.identity(order)
+    swap = GroupRingElement.from_permutation(Permutation.parse("(1 2)", order))
+    ops = [one.scale(Fraction(1, 2)), one + swap, one - swap.scale(3), sparse_element(rng, order, 3)]
+    if order >= 4:
+        ystar = curvature_symmetrizer_star(order - 4)
+        ops += [ystar, ystar.scale(Fraction(1, 3))]
+    for dim in (2, 3):
+        size = dim ** order
+        spots = {tuple(rng.randint(1, dim) for _ in range(order)) for _ in range(3)}
+        tensors = [
+            DenseTensor(order, dim, [rng.choice((-2, 2, 4)) for _ in range(size)]),
+            DenseTensor.from_entries(order, dim, dict.fromkeys(spots, 2)),
+            DenseTensor(order, dim, [Fraction(rng.choice((-1, 1, 3)), 2) for _ in range(size)]),
+            DenseTensor.from_entries(order, dim, dict.fromkeys(spots, Fraction(3, 2))),
+            DenseTensor.zero(order, dim),
+        ]
+        for t in tensors:
+            for a in ops:
+                out = apply_operator(a, t)
+                assert type(out.coords) is tuple
+                assert _typed(out) == _rebuilt(out) == _typed(direct_apply(a, t))
+        # the coefficient 1/2 on a value 2 is the int 1 on both branches
+        for t in tensors[:2]:
+            halved = apply_operator(ops[0], t).coords
+            assert 1 in halved and all(type(c) is int for c in halved)
+
+
+def test_tensor_product_outputs_are_canonical_type_for_type():
+    rng = random.Random(88)
+    for dim in (2, 3):
+        for order in (1, 2, 3):
+            size = dim ** order
+            spots = {tuple(rng.randint(1, dim) for _ in range(order)) for _ in range(2)}
+            factors = [
+                DenseTensor(order, dim, [rng.randint(-3, 3) for _ in range(size)]),
+                DenseTensor.from_entries(order, dim, dict.fromkeys(spots, -2)),
+                DenseTensor(order, dim, [Fraction(2 * rng.choice((-1, 1)), 3) for _ in range(size)]),
+                DenseTensor(order, dim, [Fraction(3 * rng.choice((-1, 1)), 2) for _ in range(size)]),
+                DenseTensor.from_entries(order, dim, dict.fromkeys(spots, Fraction(1, 2))),
+                DenseTensor.zero(order, dim),
+            ]
+            for left in factors:
+                for right in factors:
+                    out = tensor_product(left, right)
+                    assert type(out.coords) is tuple
+                    assert _typed(out) == _rebuilt(out) == _typed(direct_tensor_product(left, right))
+            # (2/3)·(3/2) = 1: every entry of the product is an int
+            assert all(type(c) is int for c in tensor_product(factors[2], factors[3]).coords)
+
+
 def _sparse_operators(order):
     """Operators with Fraction coefficients, and ones whose terms cancel on repeated entries."""
     rng = random.Random(40 + order)
