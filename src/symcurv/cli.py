@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shape", type=_partition_arg, help="partition, e.g. 3,2")
     group.add_argument("--curvature", type=int, metavar="U",
                        help="curvature tableau family parameter (0 for order 4, 1 for order 5)")
-    p.add_argument("--index", type=int, default=0,
-                   help="standard tableau index in last-letter order (with --shape)")
+    p.add_argument("--index", type=int,
+                   help="standard tableau index in last-letter order (with --shape; default 0)")
     p.add_argument("--star", action="store_true", help="apply the star involution")
     p.add_argument("--json", action="store_true")
 
@@ -149,14 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_symmetrizer(args) -> int:
     if args.curvature is not None:
+        if args.index is not None:
+            raise ValueError("--index goes with --shape, not --curvature")
         tableau = curvature_tableau(args.curvature)
     else:
         shape, count = format_partition(args.shape), hook_dimension(args.shape)
+        index = args.index or 0
         if sum(args.shape) > MAX_DEGREE:
             raise ValueError(f"shape {shape} exceeds the degree cap {MAX_DEGREE}")
-        if not 0 <= args.index < count:
+        if not 0 <= index < count:
             raise ValueError(f"index must be in 0..{count - 1} for shape {shape}")
-        tableau = standard_tableaux(args.shape)[args.index]
+        tableau = standard_tableaux(args.shape)[index]
     element = young_symmetrizer(tableau)
     if args.star:
         element = element.star()

@@ -5,9 +5,9 @@ Elements are dense coefficient vectors indexed by the canonical
 what is left and the group sums of its right stabilizer (_factored),
 convolves a with what is left and runs each group sum as a chain of
 Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974; G. Murphy,
-J. Algebra 69, 1981), gathering at C speed through each transposition's
-table once a vector is half nonzero. The transform and the tensor action
-read the same split. Products run on integer numerators over each factor's common
+J. Algebra 69, 1981), each step one C-speed gather through each
+transposition's table. The transform and the tensor action read the same
+split. Products run on integer numerators over each factor's common
 denominator, and each nonzero of the product is divided once.
 Everything is an exact rational; floats never enter.
 Right-ideal ranks are read off Fourier blocks.
@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
 from math import factorial, lcm
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .permutation import Permutation, _rank_table, perm_rank, symmetric_group
+from .permutation import Permutation, _rank_table, perm_rank
 from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
@@ -121,26 +121,15 @@ def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int
     0-based positions. swap(i, j) is the scatter table of (i+1 j+1):
     _swap_table for a right factor of a group-ring element, the slot table
     for a tensor. A transposition is an involution, so its scatter table is
-    also its gather table: a step on a vector at least half nonzero adds
-    coeffs[table[k]] to entry k at C speed, and a sparser step scatters its
-    nonzeros. The L_j commute, so the chain's order does not matter.
+    also its gather table: each step adds or subtracts coeffs[table[k]] to
+    entry k at C speed, whatever the density. The L_j commute, so the
+    chain's order does not matter.
     """
     for n, j in enumerate(block[1:], start=1):
-        tables = [swap(i, j) for i in block[:n]]
-        if 2 * coeffs.count(0) > len(coeffs):
-            values = compress(coeffs, coeffs)
-            support = list(zip(compress(range(len(coeffs)), coeffs),
-                               values if sign > 0 else map(neg, values)))
-            out = list(coeffs)
-            for table in tables:
-                for k, c in support:
-                    out[table[k]] += c
-        else:
-            out = coeffs
-            for table in tables:
-                out = map(add if sign > 0 else sub, out, _positions(table)(coeffs))
-            out = list(out)
-        coeffs = out
+        out = coeffs
+        for i in block[:n]:
+            out = map(add if sign > 0 else sub, out, _positions(swap(i, j))(coeffs))
+        coeffs = list(out)
     return coeffs
 
 
@@ -314,8 +303,8 @@ class GroupRingElement:
 
     def terms(self) -> list[tuple[Permutation, Rational]]:
         """Nonzero terms in canonical enumeration order."""
-        perms = symmetric_group(self.degree)
-        return [(perms[i], c) for i, c in enumerate(self.coeffs) if c]
+        terms = compress(zip(_rank_table(self.degree), self.coeffs), self.coeffs)
+        return [(Permutation(w), c) for w, c in terms]
 
     def support_size(self) -> int:
         return sum(1 for c in self.coeffs if c)
@@ -409,13 +398,15 @@ class GroupRingElement:
     def from_dict(cls, data: Mapping) -> "GroupRingElement":
         data = wire_json(data, dict, "element")
         degree = wire_scalar(data["degree"], "degree", integer=True)
-        terms = []
+        terms = {}
         for entry in wire_json(data.get("terms", []), list, "terms"):
             entry = wire_json(entry, dict, "term")
             images = wire_json(entry["perm"], list, "perm")
             perm = Permutation(wire_scalar(v, "permutation entry", integer=True) for v in images)
-            terms.append((perm, wire_scalar(entry["coeff"], "coefficient")))
-        return cls.from_terms(degree, terms) if terms else cls.zero(degree)
+            if perm in terms:
+                raise ValueError(f"duplicate permutation {list(perm.images)}")
+            terms[perm] = wire_scalar(entry["coeff"], "coefficient")
+        return cls.from_terms(degree, terms.items()) if terms else cls.zero(degree)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

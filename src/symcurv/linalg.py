@@ -36,13 +36,15 @@ def _primitive(entries: Entries) -> dict[int, int]:
     """The nonzero entries as coprime integers, a positive multiple of the row.
 
     A row of ints is only divided by its gcd. Any other row is normalized
-    by as_rational first, so a float, string or bool raises TypeError.
+    by as_rational first, zeros included, so a float, string, bool or None
+    raises TypeError even where it is falsy.
     """
-    row = {i: x for i, x in entries if x}
+    # an int zero is dropped here; any other falsy value fails the type scan
+    row = {i: x for i, x in entries if x or type(x) is not int}
     if not all_ints(row.values()):
         row = {i: as_rational(x) for i, x in row.items()}
         scale = lcm(*(x.denominator for x in row.values()))
-        row = {i: int(x * scale) for i, x in row.items()}
+        row = {i: int(x * scale) for i, x in row.items() if x}
     g = gcd(*row.values())
     if g > 1:
         row = {i: x // g for i, x in row.items()}

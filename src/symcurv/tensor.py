@@ -351,11 +351,11 @@ def _kernel_output(order: int, dim: int, coords: list[Rational], canonical: bool
 def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """Act with a group-ring element as a symmetry operator.
 
-    At order 1, a is a multiple of the identity. Otherwise a is compiled
-    once per (a, dim) by _compiled_action. On a tensor with fewer than
-    half its coordinates nonzero, each nonzero v at coordinate j scatters
-    c·v through the merged terms of j's equal-entry pattern (_Patterns);
-    a pattern the operator had no room to keep is merged once per call.
+    a is compiled once per (a, dim) by _compiled_action, at every order
+    alike. On a tensor with fewer than half its coordinates nonzero, each
+    nonzero v at coordinate j scatters c·v through the merged terms of j's
+    equal-entry pattern (_Patterns); a pattern the operator had no room to
+    keep is merged once per call.
     Otherwise a acts as split by group_ring._factored: since
     (a*b)T = a(bT), each group sum acts first as its Jucys-Murphy chain,
     then each word p of the rest gathers the tensor through the slot table
@@ -364,8 +364,6 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
-    if t.order == 1:
-        return t.scale(a.coeffs[0])
     order, dim, coords = t.order, t.dim, t.coords
     action = _compiled_action(a, dim)
     if 2 * coords.count(0) > len(coords):

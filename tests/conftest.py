@@ -308,7 +308,8 @@ def scatter_times_block_sum(coeffs, block, sign, swap):
 
     Each step scatters the step's nonzeros through the scatter table
     swap(i, j) of each transposition (i+1 j+1), i < j in block. The kernel
-    that group_ring._times_block_sum's gathers replaced, kept as its oracle.
+    that group_ring._times_block_sum's gathers replaced, first on vectors at
+    least half nonzero and then on every vector, kept as its oracle.
     """
     for n, j in enumerate(block[1:], start=1):
         support = [(k, c if sign > 0 else -c) for k, c in enumerate(coeffs) if c]
@@ -324,16 +325,16 @@ def scatter_times_block_sum(coeffs, block, sign, swap):
 def kernel_vectors(rng, size: int) -> list[tuple[list, bool]]:
     """(vector, canonical) pairs for the block-sum kernel, sparse through dense.
 
-    Int vectors with one nonzero, a tenth, just under half, exactly half
-    (when size is even) and all nonzero; an all-Fraction vector with some
-    Fraction zeros; and a canonical mixed int/Fraction vector (canonical
-    True), as the package's constructors leave them.
+    Int vectors with one nonzero, a twentieth, a tenth, just under half,
+    exactly half (when size is even) and all nonzero; an all-Fraction
+    vector with some Fraction zeros; and a canonical mixed int/Fraction
+    vector (canonical True), as the package's constructors leave them.
     """
     def ints(count):
         kept = set(rng.sample(range(size), count))
         return [rng.choice((-3, -2, -1, 1, 2, 3)) if k in kept else 0 for k in range(size)]
 
-    counts = {1, max(1, size // 10), max(1, (size - 1) // 2), size}
+    counts = {1, max(1, size // 20), max(1, size // 10), max(1, (size - 1) // 2), size}
     if size % 2 == 0:
         counts.add(size // 2)
     fractions = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(size)]

@@ -125,6 +125,16 @@ def test_symmetrizer_by_shape(capsys):
     assert "index" in err
 
 
+def test_symmetrizer_index_goes_with_shape_only(capsys):
+    code, out, err = run_cli(capsys, "symmetrizer", "--curvature", "4", "--index", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--index" in err and err.count("\n") == 1
+    # without --index a shape means its first standard tableau
+    assert run_cli(capsys, "symmetrizer", "--shape", "3,1") == run_cli(
+        capsys, "symmetrizer", "--shape", "3,1", "--index", "0")
+
+
 def test_symmetrizer_curvature_star_json(capsys):
     code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", "1", "--star", "--json")
     assert code == 0

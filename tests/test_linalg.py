@@ -150,7 +150,8 @@ def test_row_basis_matches_rescaling_oracle(width):
                 assert residual is None or {int} == set(map(type, residual.values()))
 
 
-@pytest.mark.parametrize("row", [[0.5], ["1", 2], [True, 1], [1, 2.0], [Fraction(1, 2), True], [3, "4/5"]])
+@pytest.mark.parametrize("row", [[0.5], ["1", 2], [True, 1], [1, 2.0], [Fraction(1, 2), True], [3, "4/5"],
+                                 [0.0, 1], [False, 1], ["", 1], [None, 1]])
 def test_row_basis_refuses_non_rational_entries(row):
     with pytest.raises(TypeError):
         rank_of_rows([row])

@@ -217,8 +217,8 @@ def test_apply_operator_matches_direct_scatter(order):
 
 
 def test_slot_lookup_cache_is_bounded():
-    # one table per (images, order, dim); order 1 needs none, so sparse order-2
-    # tensors at 69 dims ask for the identity's two half tables each, 138 keys
+    # one table per (images, order, dim): sparse order-2 tensors at 69 dims
+    # ask for the identity's two half tables each, 138 keys
     _slot_lookup.cache_clear()
     _compiled_action.cache_clear()
     for dim in range(2, 71):
@@ -241,6 +241,21 @@ def test_dense_action_splits_the_operator_once(monkeypatch):
         assert apply_operator(a, t) == expected
     assert len(calls) == 1
     _compiled_action.cache_clear()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_order_one_operators_act_as_scale(dim):
+    # order 1 runs through the compiled action like every order; dim 1 reads
+    # each gather through a one-entry slot table
+    rng = random.Random(30 + dim)
+    values = [rng.choice((-3, -1, 2, 3)) for _ in range(dim)]
+    tensors = [DenseTensor(1, dim, values), DenseTensor(1, dim, [Fraction(v, 2) for v in values]),
+               DenseTensor.basis(1, dim, [dim]), DenseTensor.from_entries(1, dim, {(1,): Fraction(-4, 3)}),
+               DenseTensor.zero(1, dim)]
+    for c in (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3)):
+        a = GroupRingElement(1, [c])
+        for t in tensors:
+            assert _typed(apply_operator(a, t)) == _typed(t.scale(c))
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])

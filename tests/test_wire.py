@@ -34,6 +34,8 @@ BAD_ELEMENTS = {
     "degree_beyond_cap": _with(ELEMENT, ("degree",), 9),
     "terms_not_array": _with(ELEMENT, ("terms",), {"perm": [2, 1]}),
     "bad_rational_string": _with(ELEMENT, ("terms", 0, "coeff"), "1/0"),
+    "duplicate_term": _with(ELEMENT, ("terms",), [
+        {"perm": [1, 2], "coeff": "1"}, {"perm": [1, 2], "coeff": "1"}]),
 }
 
 BAD_TENSORS = {
@@ -77,6 +79,18 @@ def test_element_degree_out_of_range_exits_2(case, tmp_path, capsys):
     assert main(["rank", "--element", str(path), "--dim", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: degree must be in 1..8") and err.count("\n") == 1
+
+
+def test_duplicate_term_is_refused_by_every_reader(tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(BAD_ELEMENTS["duplicate_term"]))
+    with pytest.raises(ValueError, match=r"duplicate permutation \[1, 2\]"):
+        GroupRingElement.from_dict(BAD_ELEMENTS["duplicate_term"])
+    assert main(["fourier", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate permutation") and err.count("\n") == 1
+    # the Python constructor still sums repeated terms
+    assert GroupRingElement.from_terms(2, [([1, 2], 1), ([1, 2], 1)]).coeffs == (2, 0)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
