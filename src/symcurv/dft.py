@@ -11,25 +11,22 @@ transform carries the rank-one idempotents of the (2 1) block of Q[S_3]
 to the xi/eta families with their expected coefficients; tests pin those
 coefficients, so the convention must not drift.
 
-Natural generators: per shape, the r-1 integer matrices D(s_i) of the
-Coxeter generators s_i = (i i+1) are built once. Column t of the
-polytabloid matrix of s_i is -e_t when i and i+1 share a column of t,
-and e_{s_i t} when they share neither a row nor a column (s_i t is then
-standard). When they share a row, the polytabloid of s_i t is restricted
-to the standard tabloids and solved by integer substitution against the
-standard polytabloids, whose matrix there is lower unitriangular in
-last-letter order (B. Sagan, The Symmetric Group, 2nd ed., sections
-2.5-2.6).
-
 The work is done in Young's seminormal form by Clausen's recursion
 (seminormal.py). Ranks do not depend on the basis, so block_ranks never
 leaves that form. In its normalization one upper unitriangular
 intertwiner P per shape carries it to the natural form,
-D_nat(p) P = P D_sn(p); P and P^{-1} come from two recursions on the
-natural generators, with no solve, and fourier_transform,
-natural_rep_matrix and inverse_fourier pass through them, each as two
-integer products by linalg.int_mat_mul on numerators over one
-denominator.
+D_nat(p) P = P D_sn(p), and fourier_transform, natural_rep_matrix and
+inverse_fourier pass through P and P^{-1}, each as two integer products
+by linalg.int_mat_mul on numerators over one denominator.
+
+P is built from the seminormal generators alone. A polytabloid obeys
+s_i e_t = e_{s_i t} (B. Sagan, The Symmetric Group, 2nd ed., section
+2.3), so when s_i t is standard, row t of D_nat(s_i) is e_{s_i t} and
+row s_i t of P is row t of P times D_sn(s_i). The last row of P/p is
+e_{f-1}, and every other row t is reached from a later row s_i t, one
+row operation and one gcd each. The rows of P^{-1} come by back
+substitution from the bottom: row t is e_t less the sum, over k after
+t, of entry (t, k) of P/p times row k.
 
 The product of two images, @, multiplies block by block with
 linalg.mat_mul, which is exact on integer numerators too. Block sizes
@@ -68,10 +65,6 @@ from .tableaux import (
     validate_partition,
 )
 
-# A generator's columns: column a lists the (row, entry) pairs of its nonzeros.
-Generator = tuple[tuple[tuple[int, int], ...], ...]
-
-
 def _checked_shape(parts: Sequence[int]) -> Partition:
     parts = validate_partition(parts)
     if sum(parts) > MAX_DEGREE:
@@ -86,6 +79,9 @@ def _block_sizes(degree: int) -> dict[Partition, int]:
     return {shape: hook_dimension(shape) for shape in partitions_of(degree)}
 
 
+# _specht_matrix, with the _coefficient and _cells it reads, has no caller
+# in the package. perfbench/tracing.py reads its cache by name and its
+# self-test requires every cache it names; they go when the benchmark drops it.
 def _coefficient(row_of: Sequence[int], columns: Sequence[Sequence[int]]) -> int:
     """Coefficient of the tabloid with rows row_of[v] in the polytabloid of a tableau.
 
@@ -127,48 +123,6 @@ def _specht_matrix(parts: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_coefficient(row_of, t.columns()) for t in tableaux) for row_of in rows_of)
 
 
-@lru_cache(maxsize=None)
-def _generators(parts: Partition) -> tuple[Generator, ...]:
-    """D(s_i) for i = 1..r-1, each as its sparse integer columns."""
-    parts = _checked_shape(parts)
-    r = sum(parts)
-    tableaux = standard_tableaux(parts)
-    index = {t.rows: k for k, t in enumerate(tableaux)}
-    cells = [_cells(t) for t in tableaux]
-    rows_of = [[row for row, _ in cell] for cell in cells]
-    gens = []
-    for i in range(1, r):
-        # expansion of the polytabloid of s_i t_b in the standard polytabloids, by b
-        expansions: list[list[tuple[int, int]]] = []
-        same_row, images = [], []
-        for b, t in enumerate(tableaux):
-            (row, col), (row1, col1) = cells[b][i], cells[b][i + 1]
-            if col == col1:
-                expansions.append([(b, -1)])
-                continue
-            swap = {i: i + 1, i + 1: i}
-            image = tuple(tuple(swap.get(v, v) for v in entries) for entries in t.rows)
-            if row != row1:
-                expansions.append([(index[image], 1)])
-            else:
-                image_columns = [[entries[j] for entries in image if len(entries) > j]
-                                 for j in range(parts[0])]
-                same_row.append(b)
-                images.append([_coefficient(row_of, image_columns) for row_of in rows_of])
-                expansions.append([])
-        if same_row:
-            solved = linalg.solve_columns(_specht_matrix(parts), list(zip(*images)))
-            for k, b in enumerate(same_row):
-                expansions[b] = [(a, x[k]) for a, x in enumerate(solved) if x[k]]
-        # D(s_i) is the transpose of the polytabloid matrix of s_i
-        columns: list[list[tuple[int, int]]] = [[] for _ in tableaux]
-        for b, expansion in enumerate(expansions):
-            for a, c in expansion:
-                columns[a].append((b, c))
-        gens.append(tuple(tuple(column) for column in columns))
-    return tuple(gens)
-
-
 def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[Block | None]:
     """Seminormal D_λ(a) per shape, None for a zero block.
 
@@ -195,41 +149,37 @@ def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list
 def _intertwiner(parts: Partition) -> tuple[Rows, int, Rows, int]:
     """(P, p, Q, q): D_nat(g)·P/p = P/p·D_sn(g) for every g, and Q/q is the inverse of P/p.
 
-    P/p is upper unitriangular. Its columns: p_0 = e_0, and p_u =
-    D_nat(s_i)·p_t - p_t/d_t for t before u = s_i t. The rows of its inverse:
-    q_{f-1} = e_{f-1}, and q_t = q_u·D_nat(s_i) - q_u/d_u for u = s_i t after
-    t. Both recursions run on the natural generators in integers.
+    P by the walk from its last row, Q by back substitution, both in
+    integers, as the module docstring states.
     """
-    gens = _generators(parts)
-    left, _, contents = seminormal.generators(parts)
+    _, right, contents = seminormal.generators(parts)
     f = len(contents)
 
-    def vectors(later: bool, times) -> tuple[Rows, int]:
-        # each vector from the one at its s_i-neighbour s, built before it
-        order = range(f - 2, -1, -1) if later else range(1, f)
-        start = f - 1 if later else 0
-        out = {start: ([int(j == start) for j in range(f)], 1)}
-        for n in order:
-            i, s = next((i, u) for i, (_, ops) in enumerate(left)
-                        if (u := ops[n][0]) >= 0 and (u > n) == later)
-            x, e = out[s]
-            d = contents[s][i + 2] - contents[s][i + 1]
-            num, den = [d * y - z for y, z in zip(times(gens[i], x), x)], d * e
-            g = gcd(den, *num) * (1 if den > 0 else -1)
-            out[n] = [v // g for v in num], den // g
-        den = lcm(*(e for _, e in out.values()))
-        return [[v * (den // e) for v in x] for x, e in map(out.__getitem__, range(f))], den
+    def reduced(num: list[int], den: int) -> tuple[list[int], int]:
+        g = gcd(den, *num)
+        return [v // g for v in num], den // g
 
-    def image(gen: Generator, x: list[int]) -> list[int]:
-        out = [0] * f
-        for a, column in enumerate(gen):
-            for b, c in column:
-                out[b] += c * x[a]
-        return out
+    def common(rows: dict[int, tuple[list[int], int]]) -> tuple[Rows, int]:
+        den = lcm(*(e for _, e in rows.values()))
+        return [[v * (den // e) for v in x] for x, e in map(rows.__getitem__, range(f))], den
 
-    columns, p = vectors(False, image)
-    q_rows, q = vectors(True, lambda gen, y: [sum(c * y[b] for b, c in column) for column in gen])
-    return [list(row) for row in zip(*columns)], p, q_rows, q
+    found = {f - 1: ([int(j == f - 1) for j in range(f)], 1)}
+    for n in range(f - 2, -1, -1):
+        # row n is row u = s_i n times D_sn(s_i), u after n; b = 0 where s_i t is not standard
+        den, ops = next(op for op in right if op[1][n][0] > n)
+        x, e = found[ops[n][0]]
+        found[n] = reduced([a * x[t] + b * x[u] for t, (u, a, b) in enumerate(ops)], den * e)
+    p_rows, p = common(found)
+    inverse: dict[int, tuple[list[int], int]] = {}
+    for n in range(f - 1, -1, -1):
+        below = [(c, *inverse[k]) for k, c in enumerate(p_rows[n][n + 1:], start=n + 1) if c]
+        den = p * lcm(*(e for _, _, e in below))
+        num = [den * (j == n) for j in range(f)]
+        for c, y, e in below:
+            s = c * den // (p * e)
+            num = [v - s * w for v, w in zip(num, y)]
+        inverse[n] = reduced(num, den)
+    return p_rows, p, *common(inverse)
 
 
 def _natural(parts: Partition, block: Block | None) -> list[list[Rational]]:

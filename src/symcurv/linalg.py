@@ -179,6 +179,9 @@ def trace_of_product(a: Matrix, b: Matrix) -> Rational:
     return as_rational(Fraction(total))
 
 
+# solve_columns has no caller in the package. perfbench/tracing.py traces
+# it by name and its self-test requires every target it names; it goes
+# when the benchmark drops it.
 def solve_columns(a_rows: Sequence[Sequence[int]],
                   b_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Solve A X = B in integers by forward substitution; A must be lower unitriangular.

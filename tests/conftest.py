@@ -19,8 +19,8 @@ from symcurv import (
     symmetric_group,
     young_symmetrizer,
 )
-from symcurv import seminormal
-from symcurv.dft import _generators
+from symcurv import linalg, seminormal
+from symcurv.dft import _cells, _checked_shape, _coefficient, _specht_matrix
 from symcurv.group_ring import _factored, _inverse_table, _positions, _stabilizer_blocks, _times_block_sum
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.rationals import as_rational, as_rationals
@@ -392,6 +392,96 @@ def module_rank(a, content):
     for entries in dict.fromkeys(frozenset((i, c) for i, c in r.items() if c) for r in rows):
         basis.add(entries)
     return basis.rank
+
+
+@lru_cache(maxsize=None)
+def _generators(parts):
+    """Natural D(s_i) for i = 1..r-1, each as its sparse integer columns (column a lists (row, entry)).
+
+    Polytabloid straightening, which the intertwiner built from the
+    seminormal generators replaced, kept as the natural-generator oracle:
+    column t of the polytabloid matrix of s_i is -e_t when i and i+1 share
+    a column of t, e_{s_i t} when they share neither a row nor a column,
+    and otherwise the polytabloid of s_i t on the standard tabloids solved
+    against the standard polytabloids; D(s_i) is its transpose.
+    """
+    parts = _checked_shape(parts)
+    r = sum(parts)
+    tableaux = standard_tableaux(parts)
+    index = {t.rows: k for k, t in enumerate(tableaux)}
+    cells = [_cells(t) for t in tableaux]
+    rows_of = [[row for row, _ in cell] for cell in cells]
+    gens = []
+    for i in range(1, r):
+        # expansion of the polytabloid of s_i t_b in the standard polytabloids, by b
+        expansions = []
+        same_row, images = [], []
+        for b, t in enumerate(tableaux):
+            (row, col), (row1, col1) = cells[b][i], cells[b][i + 1]
+            if col == col1:
+                expansions.append([(b, -1)])
+                continue
+            swap = {i: i + 1, i + 1: i}
+            image = tuple(tuple(swap.get(v, v) for v in entries) for entries in t.rows)
+            if row != row1:
+                expansions.append([(index[image], 1)])
+            else:
+                image_columns = [[entries[j] for entries in image if len(entries) > j]
+                                 for j in range(parts[0])]
+                same_row.append(b)
+                images.append([_coefficient(row_of, image_columns) for row_of in rows_of])
+                expansions.append([])
+        if same_row:
+            solved = linalg.solve_columns(_specht_matrix(parts), list(zip(*images)))
+            for k, b in enumerate(same_row):
+                expansions[b] = [(a, x[k]) for a, x in enumerate(solved) if x[k]]
+        columns = [[] for _ in tableaux]
+        for b, expansion in enumerate(expansions):
+            for a, c in expansion:
+                columns[a].append((b, c))
+        gens.append(tuple(tuple(column) for column in columns))
+    return tuple(gens)
+
+
+def generator_intertwiner(parts):
+    """(P, p, Q, q) of dft._intertwiner by two recursions on the natural generators.
+
+    The build that the walk on seminormal generators and the back
+    substitution replaced, kept as their oracle. Columns of P: p_0 = e_0,
+    and p_u = D_nat(s_i)·p_t - p_t/d_t for t before u = s_i t. Rows of its
+    inverse: q_{f-1} = e_{f-1}, and q_t = q_u·D_nat(s_i) - q_u/d_u for
+    u = s_i t after t.
+    """
+    gens = _generators(parts)
+    left, _, contents = seminormal.generators(parts)
+    f = len(contents)
+
+    def vectors(later, times):
+        # each vector from the one at its s_i-neighbour s, built before it
+        order = range(f - 2, -1, -1) if later else range(1, f)
+        start = f - 1 if later else 0
+        out = {start: ([int(j == start) for j in range(f)], 1)}
+        for n in order:
+            i, s = next((i, u) for i, (_, ops) in enumerate(left)
+                        if (u := ops[n][0]) >= 0 and (u > n) == later)
+            x, e = out[s]
+            d = contents[s][i + 2] - contents[s][i + 1]
+            num, den = [d * y - z for y, z in zip(times(gens[i], x), x)], d * e
+            g = gcd(den, *num) * (1 if den > 0 else -1)
+            out[n] = [v // g for v in num], den // g
+        den = lcm(*(e for _, e in out.values()))
+        return [[v * (den // e) for v in x] for x, e in map(out.__getitem__, range(f))], den
+
+    def image(gen, x):
+        out = [0] * f
+        for a, column in enumerate(gen):
+            for b, c in column:
+                out[b] += c * x[a]
+        return out
+
+    columns, p = vectors(False, image)
+    q_rows, q = vectors(True, lambda gen, y: [sum(c * y[b] for b, c in column) for column in gen])
+    return [list(row) for row in zip(*columns)], p, q_rows, q
 
 
 def _times_generator(m, gen):

@@ -12,6 +12,8 @@ from symcurv import DenseTensor, GroupRingElement, apply_operator, gamma, gamma_
 from symcurv.cli import main
 from symcurv.tensor import curvature_symmetrizer_star
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -185,31 +187,16 @@ def test_fourier_of_element_file(tmp_path, capsys):
     assert "(2 1)" in out
 
 
-# `symcurv fourier --json` of the u = 1 curvature symmetrizer y*, byte for byte
-FOURIER_CURVATURE_1_STAR = (
-    '{"degree": 5, "blocks": [{"partition": [5], "matrix": [["0"]]}, {"partition": [4, '
-    '1], "matrix": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], '
-    '["0", "0", "0", "0"]]}, {"partition": [3, 2], "matrix": [["4", "-4", "4", "4", '
-    '"-8"], ["-4", "4", "-4", "-4", "8"], ["-8", "8", "-8", "-8", "16"], ["-8", "8", '
-    '"-8", "-8", "16"], ["-16", "16", "-16", "-16", "32"]]}, {"partition": [3, 1, 1], '
-    '"matrix": [["0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"], ["0", '
-    '"0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0", '
-    '"0"], ["0", "0", "0", "0", "0", "0"]]}, {"partition": [2, 2, 1], "matrix": [["0", '
-    '"0", "0", "0", "0"], ["0", "0", "0", "0", "0"], ["0", "0", "0", "0", "0"], ["0", '
-    '"0", "0", "0", "0"], ["0", "0", "0", "0", "0"]]}, {"partition": [2, 1, 1, 1], '
-    '"matrix": [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", '
-    '"0", "0", "0"]]}, {"partition": [1, 1, 1, 1, 1], "matrix": [["0"]]}]}'
-)
-
-
-def test_fourier_json_of_curvature_star_is_pinned(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", "1", "--star", "--json")
+@pytest.mark.parametrize("u", range(4))
+def test_fourier_json_of_curvature_star_is_pinned(tmp_path, capsys, u):
+    # every natural-basis block of y* at degrees 4-7, byte for byte
+    code, out, _ = run_cli(capsys, "symmetrizer", "--curvature", str(u), "--star", "--json")
     assert code == 0
     path = tmp_path / "ystar.json"
     path.write_text(out)
-    code, out, _ = run_cli(capsys, "fourier", "--json", str(path))
-    assert code == 0
-    assert out == FOURIER_CURVATURE_1_STAR + "\n"
+    code, out, err = run_cli(capsys, "fourier", "--json", str(path))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"fourier_curvature_{u}_star.json").read_text(encoding="utf-8")
 
 
 def test_gamma_hat_file_round_trip(tmp_path, capsys):
@@ -348,9 +335,6 @@ def test_verify_full_suite_exits_clean(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
-
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("argv,golden", [([], "verify_paper.txt"), (["--json"], "verify_paper.json")],

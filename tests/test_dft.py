@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from conftest import (block_columns, descent_transform, random_element, rank_test_elements, sparse_element,
-                      tabloid_solve_rep, unit_vector_table)
+from conftest import (_generators, block_columns, descent_transform, generator_intertwiner, random_element,
+                      rank_test_elements, sparse_element, tabloid_solve_rep, unit_vector_table)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -26,7 +26,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv import seminormal
-from symcurv.dft import _generators, _intertwiner, _specht_matrix, block_ranks
+from symcurv.dft import _intertwiner, _specht_matrix, block_ranks
 from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 from symcurv.tensor import curvature_symmetrizer_star
@@ -151,7 +151,7 @@ def test_oversized_shapes_refused_before_enumeration():
     with pytest.raises(ValueError, match="degree cap"):
         character((5, 4), Permutation.identity(9))
     with pytest.raises(ValueError, match="degree cap"):
-        _generators((MAX_DEGREE + 1,))
+        _specht_matrix((MAX_DEGREE + 1,))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -319,6 +319,16 @@ def test_intertwiner_carries_seminormal_to_natural(shape):
             for b, c in column:
                 natural[b][a] = c
         assert mat_mul(p, _seminormal_matrix(ops, f)) == mat_mul(natural, p)
+
+
+@pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
+def test_intertwiner_matches_the_generator_recursion(r):
+    # P/p and Q/q from the seminormal walk equal those of the natural generators, as rationals
+    def rational(p, p_den, q, q_den):
+        return [[[Fraction(x, den) for x in row] for row in rows] for rows, den in ((p, p_den), (q, q_den))]
+
+    for shape in partitions_of(r):
+        assert rational(*_intertwiner(shape)) == rational(*generator_intertwiner(shape))
 
 
 @pytest.mark.parametrize("shape", SHAPES_UP_TO_7[1:], ids=str)
