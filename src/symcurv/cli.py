@@ -153,10 +153,10 @@ def _cmd_symmetrizer(args) -> int:
             raise ValueError("--index goes with --shape, not --curvature")
         tableau = curvature_tableau(args.curvature)
     else:
-        shape, count = format_partition(args.shape), hook_dimension(args.shape)
-        index = args.index or 0
+        shape, index = format_partition(args.shape), args.index or 0
         if sum(args.shape) > MAX_DEGREE:
             raise ValueError(f"shape {shape} exceeds the degree cap {MAX_DEGREE}")
+        count = hook_dimension(args.shape)
         if not 0 <= index < count:
             raise ValueError(f"index must be in 0..{count - 1} for shape {shape}")
         tableau = standard_tableaux(args.shape)[index]

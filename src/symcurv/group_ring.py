@@ -73,13 +73,14 @@ def _swap(images: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
 
 
 def _positions(indices: Sequence[int]):
-    """The map taking a sequence w to the tuple of its entries at the given positions.
+    """The map taking a sequence w to the sequence of its entries at the given positions.
 
-    itemgetter returns a bare entry for one position, so that case gets its own map.
+    itemgetter returns a bare entry for one position, so one position or
+    none is read as a slice of w, at C speed like the rest.
     """
     if len(indices) > 1:
         return itemgetter(*indices)
-    return lambda w: tuple(w[i] for i in indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 def _swap_sign(terms: Mapping[tuple[int, ...], Rational], i: int, j: int) -> int:

@@ -9,7 +9,10 @@ c_T(i), the content being column minus row, D(s_i) e_T = e_T/d +
 b e_{s_i T}, where b = 1 when T comes before s_i T in last-letter order
 and 1 - 1/d² otherwise; when i and i+1 share a row or a column, d = ±1
 and D(s_i) e_T = d e_T. The Jucys-Murphy element L_j = Σ_{i<j} (i j)
-acts on e_T by c_T(j).
+acts on e_T by c_T(j), so the group sum Σ_{g in S_{1..m}} χ(g)·g scales
+e_T by Π_{2≤j≤m} (1 + χ·c_T(j)) (G. Murphy, J. Algebra 69, 1981). The
+sum over any other block B is that scale conjugated by the shortest word
+sliding {1..m} onto B, one rule for every group sum.
 
 The tableaux holding r in one corner are contiguous in last-letter order
 and come in the smaller shape's own order, so restricted to S_{r-1} the
@@ -23,9 +26,10 @@ Both bottom out at TABLE_DEGREE = 4, where they read every D_λ(w) off a
 table. The tables are grown by the recursion's own rule from the degree
 below: D(c_r q) = ⊕_μ D_μ(q), then D(c_k q) = D(s_k)·D(c_{k+1} q), one
 row operation and one gcd per coset on its words' matrices side by side.
-The forward transform reads an entry-major layout of them and the
-adjoint a word-major one; each layout is built when it is first read,
-so ranks never build the adjoint's.
+The forward transform reads an entry-major layout of them, each entry at
+the slice's nonzero words only, and the adjoint a word-major one; each
+layout is built when it is first read, so ranks never build the
+adjoint's.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .group_ring import _inverse_table
+from .group_ring import _inverse_table, _positions
 from .permutation import _rank_table
 from .tableaux import Partition, standard_tableaux
 
@@ -219,14 +223,16 @@ def _adjoint_table(parts: Partition) -> tuple[int, tuple[list[int], ...]]:
 def forward(values: Sequence[int], r: int, shapes: Sequence[Partition]) -> dict[Partition, Block]:
     """D_λ(a) for each listed λ, zero blocks left out.
 
-    values holds a's integer coefficients over S_r in recursion order.
+    values holds a's integer coefficients over S_r in recursion order; at
+    TABLE_DEGREE and below each table entry is read at its nonzero words.
     """
     if r > TABLE_DEGREE:
         return _cosets(values, r, shapes)
-    out = {}
+    pick = _positions([k for k, v in enumerate(values) if v])
+    support, out = pick(values), {}
     for lam in shapes:
         den, f, table = _forward_table(lam)
-        flat = [sum(map(mul, values, entry)) for entry in table]
+        flat = [sum(map(mul, support, pick(entry))) for entry in table]
         out[lam] = (den, [flat[i:i + f] for i in range(0, len(flat), f)])
     return _nonzero(out)
 
@@ -290,31 +296,26 @@ def adjoint(blocks: dict[Partition, Block], r: int) -> tuple[int, list[int]]:
 def times_group_sums(parts: Partition, block: Block, stabilizer: list[tuple[list[int], int]]) -> Block | None:
     """block · Π_B Σ_{g in S_B} χ(g)·g over stabilizer blocks B of 0-based positions.
 
-    Each group sum is the chain Π_j (I + χ·D(L_j)), L_j = Σ_{i<j in B} (i j).
-    On B = {1..m} the L_j are Jucys-Murphy elements, so column T is scaled by
-    Π_{2≤j≤m} (1 + χ·c_T(j)). On any other block each D((i j)) is the
-    palindrome D(s_{j-1})···D(s_i)···D(s_{j-1}), applied column by column.
+    On {1..m} the group sum is the chain Π_j (I + χ·D(L_j)) of Jucys-Murphy
+    elements, so column T is scaled by Π_{2≤j≤m} (1 + χ·c_T(j)). Any other
+    block is S_B = w·S_{1..m}·w⁻¹, w the shortest word sliding position k
+    to B[k]: for k = 0..m-1 the generators B[k]-1 down to k, in `right`'s
+    0-based indices. So the columns take w's row operations, the scale and
+    w's operations in reverse order, and one gcd per block.
     """
     _, right, contents = generators(parts)
     den, rows = block
     columns = [list(c) for c in zip(*rows)]
     for positions, sign in stabilizer:
-        m = len(positions)
-        if positions[-1] == m - 1:
-            scales = [prod(1 + sign * c[j] for j in range(2, m + 1)) for c in contents]
-            columns = [column if s == 1 else [s * x for x in column] for s, column in zip(scales, columns)]
-            continue
-        acc: Block | None = (den, columns)
-        for n, j in enumerate(positions[1:], start=1):
-            total = acc
-            for i in positions[:n]:
-                d, term = acc
-                for g in (*range(j - 1, i, -1), *range(i, j)):
-                    term = _apply(term, right[g])
-                    d *= right[g][0]
-                total = _add(total, (d, term), sign)
-            acc = _reduced(total)
-            if acc is None:
-                return None
-        den, columns = acc
-    return _reduced((den, [list(row) for row in zip(*columns)]))
+        slide = [right[g] for k, b in enumerate(positions) for g in range(b - 1, k - 1, -1)]
+        scales = [prod(1 + sign * c[j] for j in range(2, len(positions) + 1)) for c in contents]
+        for ops in slide:
+            columns = _apply(columns, ops)
+        columns = [column if s == 1 else [s * x for x in column] for s, column in zip(scales, columns)]
+        for ops in slide[::-1]:
+            columns = _apply(columns, ops)
+        reduced = _reduced((den * prod(ops[0] for ops in slide) ** 2, columns))
+        if reduced is None:
+            return None
+        den, columns = reduced
+    return den, [list(row) for row in zip(*columns)]

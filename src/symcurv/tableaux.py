@@ -227,9 +227,12 @@ def curvature_tableau(u: int) -> YoungTableau:
 
     First row 1, 3, 5, 6, ..., u+4; second row 2, 4. Shape (u+2, 2) on
     u+4 letters; u = 0 gives the order-4 curvature tableau, u = 1 the
-    order-5 derivative one.
+    order-5 derivative one. u + 4 above the degree cap is refused before
+    the row is built.
     """
     if u < 0:
         raise ValueError(f"need u >= 0, got {u}")
+    if u + 4 > MAX_DEGREE:
+        raise ValueError(f"tableau on {u + 4} letters exceeds the degree cap {MAX_DEGREE}")
     first = (1, 3) + tuple(range(5, u + 5))
     return YoungTableau((first, (2, 4)))

@@ -583,6 +583,34 @@ def block_columns(a, shapes):
     return out, den
 
 
+def palindrome_times_group_sums(parts, block, stabilizer):
+    """block · Π_B Σ_{g in S_B} χ(g)·g as palindrome chains of seminormal generators.
+
+    Each group sum is the chain Π_j (I + χ·D(L_j)), L_j = Σ_{i<j in B} (i j),
+    each D((i j)) the palindrome D(s_{j-1})···D(s_i)···D(s_{j-1}) applied
+    column by column, with one gcd per chain step. The path that
+    seminormal.times_group_sums ran on every block but {1..m} before it
+    slid each block to {1..m}, kept as its oracle.
+    """
+    _, right, _ = seminormal.generators(parts)
+    den, rows = block
+    acc = (den, [list(c) for c in zip(*rows)])
+    for positions, sign in stabilizer:
+        for n, j in enumerate(positions[1:], start=1):
+            total = acc
+            for i in positions[:n]:
+                d, term = acc
+                for g in (*range(j - 1, i, -1), *range(i, j)):
+                    term = seminormal._apply(term, right[g])
+                    d *= right[g][0]
+                total = seminormal._add(total, (d, term), sign)
+            acc = seminormal._reduced(total)
+            if acc is None:
+                return None
+    den, columns = acc
+    return seminormal._reduced((den, [list(row) for row in zip(*columns)]))
+
+
 def unit_vector_table(parts):
     """(den, f, forward, adjoint) of a shape, by one _cosets transform per unit vector.
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +384,25 @@ def test_symmetrizer_beyond_degree_cap_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["symmetrizer", "--shape", "100000"],
+    ["symmetrizer", "--curvature", "1000000"],
+    ["symmetrizer", "--curvature", "99999999999999999999"],
+    ["rank", "--curvature", "99999999999999999999", "--dim", "3"],
+])
+def test_huge_inputs_refused_at_the_degree_cap_before_any_work(capsys, monkeypatch, argv):
+    def refuse(shape):
+        raise AssertionError("hook_dimension called before the degree check")
+
+    monkeypatch.setattr("symcurv.cli.hook_dimension", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "degree cap" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["--shape", "6,6,6"], ["--shape", "2,1", "--index", "2"]])

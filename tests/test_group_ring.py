@@ -26,7 +26,7 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import _factored, _inverse_table, _numerators, _stabilizer_blocks, _swap_table
+from symcurv.group_ring import _factored, _inverse_table, _numerators, _positions, _stabilizer_blocks, _swap_table
 from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
 
@@ -357,6 +357,13 @@ def test_product_matches_direct_at_degree_7():
     assert s * y == direct_product(s, y)
     # the dense y*y* is checked through its constant 7!/f^(5 2) = 360
     assert y.is_essentially_idempotent() == 360
+
+
+def test_positions_read_any_number_of_positions():
+    for w in ((5, 6, 7), [5, 6, 7]):
+        assert tuple(_positions([2, 0])(w)) == (7, 5)
+        assert tuple(_positions([1])(w)) == (6,)
+        assert tuple(_positions([])(w)) == ()
 
 
 def test_stabilizer_blocks_of_curvature_symmetrizers():
