@@ -12,6 +12,12 @@ denominator, and each nonzero of the product is divided once.
 Everything is an exact rational; floats never enter.
 Right-ideal ranks are read off Fourier blocks.
 
+The index tables (each transposition's, the inverse's) are grown from
+lexicographic order, not by hashing one word per permutation: the words
+sharing a first letter are a run of (r-1)! consecutive indices ordered
+like S_{r-1}, so each table is slices and C-speed gathers of a table one
+degree down, and holds the rank table's own int objects.
+
 Elements are immutable and all caches are write-once, so values can be
 shared freely across threads.
 """
@@ -22,13 +28,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import chain, compress, permutations
 from math import factorial, lcm
 from operator import add, itemgetter, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .permutation import Permutation, _rank_table, perm_rank
-from .rationals import Rational, as_rational, as_rationals, format_rational, wire_json, wire_scalar
+from .rationals import Rational, all_ints, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
 MAX_DEGREE = 8
@@ -40,29 +46,81 @@ def _require_degree(degree: int) -> None:
         raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
 
 
+def _int_positions(values: Iterable, what: str) -> list[int]:
+    """The positions as a list, each of type int: a float is refused, not truncated, and so is a bool."""
+    values = list(values)
+    if not all_ints(values):
+        raise ValueError(f"{what} must be ints, got {values}")
+    return values
+
+
+def _ranks(degree: int) -> list[int]:
+    """0..r!-1 as the rank table's own int objects; every table below is gathered from them."""
+    return list(_rank_table(degree).values())
+
+
+def _inserted(degree: int, position: int, letter: int) -> list[int]:
+    """table[t] = index in S_r of q_t, the t-th word of S_{r-1}, with a letter put in.
+
+    The new letter is letter+1 at 0-based `position`, and q_t's letters from
+    letter+1 up are raised by one. In lexicographic order the words sharing
+    a first letter are one run of (r-1)! indices, ordered like S_{r-1}. At
+    position 0 the new word starts run `letter`. Elsewhere it keeps q_t's
+    first letter, so q_t's run b lands in run b, or b+1 when b >= letter,
+    and inside it the map is the same one degree down.
+    """
+    ranks, size = _ranks(degree), factorial(degree - 1)
+    if not position:
+        return ranks[letter * size:(letter + 1) * size]
+    out: list[int] = []
+    for b in range(degree - 1):
+        if b in (0, letter):  # the first run below the new letter, and the first above it
+            below = _positions(_inserted(degree - 1, position - 1, letter - (b < letter)))
+        start = (b + (b >= letter)) * size
+        out += below(ranks[start:start + size])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _inverse_table(degree: int) -> tuple[int, ...]:
-    """table[k] = index of the inverse of the k-th permutation, from raw one-line words."""
-    rank = _rank_table(degree)
-    out = []
-    for w in rank:
-        inv = [0] * degree
-        for i, v in enumerate(w, start=1):
-            inv[v - 1] = i
-        out.append(rank[tuple(inv)])
-    return tuple(out)
+    """table[k] = index of the inverse of the k-th permutation.
+
+    The words w starting with letter a+1 are run a; w^{-1} puts a 1 at
+    position a of q^{-1} raised by one, q the rest of w as a word of
+    S_{r-1}. So run a is the table one degree down read through that map.
+    """
+    if degree == 1:
+        return tuple(_ranks(1))
+    below = _positions(_inverse_table(degree - 1))
+    return tuple(chain.from_iterable(below(_inserted(degree, a, 0)) for a in range(degree)))
+
+
+def _by_runs(values: Sequence[int], below: Sequence[int]) -> tuple[int, ...]:
+    """values read run by run, each run of len(below) entries gathered through below."""
+    run, gather = len(below), _positions(below)
+    return tuple(chain.from_iterable(gather(values[s:s + run]) for s in range(0, len(values), run)))
 
 
 @lru_cache(maxsize=None)
 def _swap_table(degree: int, i: int, j: int) -> tuple[int, ...]:
     """table[k] = index of p_k * (i+1 j+1), p_k's word with positions i and j swapped.
 
-    One table per transposition of each degree, so the degree cap bounds the cache.
+    Grown from lexicographic order by slices and gathers. For i >= 1 each
+    run of (r-1)! words sharing a first letter takes the table of (i j) one
+    degree down. (1 2) moves whole runs of (r-2)! words, found from their
+    first two letters, and (1 j+1) = (1 2)(2 j+1)(1 2) reads (2 j+1) the
+    same way, through the table of (1 2). One table per transposition of
+    each degree, so the degree cap bounds the cache.
     """
-    order = list(range(degree))
-    order[i], order[j] = j, i
-    rank = _rank_table(degree)
-    return tuple(map(rank.__getitem__, map(itemgetter(*order), rank)))
+    if i:
+        return _by_runs(_ranks(degree), _swap_table(degree - 1, i - 1, j - 1))
+    if j == 1:
+        # the run of (r-2)! words starting x+1, y+1 moves to the one starting y+1, x+1: y·(r-1) + x - (x > y)
+        ranks, run, n = _ranks(degree), factorial(degree - 2), degree - 1
+        return tuple(chain.from_iterable(ranks[s:s + run] for s in (
+            (y * n + x - (x > y)) * run for x, y in permutations(range(degree), 2))))
+    outer = _swap_table(degree, 0, 1)
+    return _positions(outer)(_by_runs(outer, _swap_table(degree - 1, 0, j - 1)))
 
 
 def _swap(images: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -281,7 +339,7 @@ class GroupRingElement:
         Π_j (1 ± L_j) of Jucys-Murphy elements over the block, so it costs
         binom(|block|, 2) passes over the support, not |block|! products.
         """
-        block = [int(v) for v in block]
+        block = _int_positions(block, "block positions")
         if any(not 1 <= v <= self.degree for v in block) or len(set(block)) != len(block):
             raise ValueError(f"block must list distinct positions in 1..{self.degree}: {block}")
         coeffs = _times_block_sum(self.coeffs, sorted(v - 1 for v in block), -1 if signed else 1,
@@ -361,11 +419,11 @@ class GroupRingElement:
         slots[i-1] is the position of letter i; unmentioned positions
         become fixed points. Coefficients are carried over unchanged.
         """
-        slots = tuple(int(s) for s in slots)
+        slots = _int_positions(slots, "slots")
         if len(slots) != self.degree:
             raise ValueError(f"slot map must list {self.degree} positions")
         if len(set(slots)) != len(slots):
-            raise ValueError(f"slot map is not injective: {list(slots)}")
+            raise ValueError(f"slot map is not injective: {slots}")
         if any(not 1 <= s <= degree for s in slots):
             raise ValueError(f"slot out of range 1..{degree}")
         out = []
@@ -424,7 +482,7 @@ def stabilizer_symmetrizer(degree: int, fixed: Iterable[int],
     Unsigned coefficients are 1; with signed=True each permutation
     carries its sign, so fixing nothing gives the full antisymmetrizer.
     """
-    fixed = set(fixed)
+    fixed = set(_int_positions(fixed, "fixed positions"))
     if any(not 1 <= i <= degree for i in fixed):
         raise ValueError(f"fixed positions must lie in 1..{degree}")
     free = [i for i in range(1, degree + 1) if i not in fixed]

@@ -20,7 +20,9 @@ form is block diagonal. Clausen's recursion follows (M. Clausen,
 Theoret. Comput. Sci. 67, 1989; D. Maslen, Math. Comp. 67, 1998): every
 w in S_r is c_k q with k = w(r), c_k = s_k···s_{r-1} and q in S_{r-1}, so
 D_λ(a) = Σ_k D(s_k)···D(s_{r-1}) ⊕_μ D_μ(a_k), a_k(q) = a(c_k q), the sum
-over the corners of λ. The inverse runs the adjoint recursion.
+over the corners of λ. The inverse runs the adjoint recursion. The
+recursion's order of S_r is grown like group_ring's index tables: group
+k is the order of S_{r-1} read through the map that puts k last.
 
 Both bottom out at TABLE_DEGREE = 4, where they read every D_λ(w) off a
 table. The tables are grown by the recursion's own rule from the degree
@@ -35,12 +37,12 @@ adjoint's.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .group_ring import _inverse_table, _positions
-from .permutation import _rank_table
+from .group_ring import _inserted, _inverse_table, _positions, _ranks
 from .tableaux import Partition, standard_tableaux
 
 Rows = list[list[int]]
@@ -161,13 +163,14 @@ def recursion_order(degree: int) -> tuple[int, ...]:
     """The canonical indices of S_degree in the recursion's order.
 
     Words are grouped by k = w(r), k = 1 first; within a group they follow
-    c_k^{-1} w in S_{r-1}, in that degree's order.
+    c_k^{-1} w in S_{r-1}, in that degree's order. c_k^{-1} w raised back is
+    w with its last letter k left out, so group k is the order one degree
+    down read through the map that puts k last (group_ring._inserted).
     """
-    words = [()]
-    for r in range(1, degree):
-        words = [(*(v + (v >= k) for v in q), k) for k in range(1, r + 1) for q in words]
-    rank = _rank_table(degree)
-    return tuple(rank[(*(v + (v >= k) for v in q), k)] for k in range(1, degree + 1) for q in words)
+    if degree == 1:
+        return tuple(_ranks(1))
+    below = _positions(recursion_order(degree - 1))
+    return tuple(chain.from_iterable(below(_inserted(degree, degree - 1, k)) for k in range(degree)))
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +304,14 @@ def times_group_sums(parts: Partition, block: Block, stabilizer: list[tuple[list
     block is S_B = w·S_{1..m}·w⁻¹, w the shortest word sliding position k
     to B[k]: for k = 0..m-1 the generators B[k]-1 down to k, in `right`'s
     0-based indices. So the columns take w's row operations, the scale and
-    w's operations in reverse order, and one gcd per block.
+    w's operations in reverse order, and one gcd per block. M·D(w) keeps
+    M's zero rows zero, so they are left out of the columns and put back
+    after.
     """
     _, right, contents = generators(parts)
     den, rows = block
-    columns = [list(c) for c in zip(*rows)]
+    kept = [k for k, row in enumerate(rows) if any(row)]
+    columns = [list(c) for c in zip(*map(rows.__getitem__, kept))]
     for positions, sign in stabilizer:
         slide = [right[g] for k, b in enumerate(positions) for g in range(b - 1, k - 1, -1)]
         scales = [prod(1 + sign * c[j] for j in range(2, len(positions) + 1)) for c in contents]
@@ -318,4 +324,7 @@ def times_group_sums(parts: Partition, block: Block, stabilizer: list[tuple[list
         if reduced is None:
             return None
         den, columns = reduced
-    return den, [list(row) for row in zip(*columns)]
+    out = [[0] * len(contents) for _ in rows]
+    for k, row in zip(kept, zip(*columns)):
+        out[k] = list(row)
+    return den, out

@@ -7,6 +7,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from itertools import permutations as _words
 from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from symcurv import (
     BlockMatrixImage,
@@ -23,6 +24,7 @@ from symcurv import linalg, seminormal
 from symcurv.dft import _cells, _checked_shape, _coefficient, _specht_matrix
 from symcurv.group_ring import _factored, _inverse_table, _positions, _stabilizer_blocks, _times_block_sum
 from symcurv.linalg import RowBasis, matrix, mat_transpose
+from symcurv.permutation import _rank_table
 from symcurv.rationals import as_rational, as_rationals
 from symcurv.tensor import _slot_lookup
 
@@ -364,6 +366,45 @@ def scatter_star(a: GroupRingElement) -> GroupRingElement:
         if c:
             out[inv[i]] = c
     return GroupRingElement(a.degree, out)
+
+
+def lookup_swap_table(degree: int, i: int, j: int) -> tuple[int, ...]:
+    """table[k] = index of p_k * (i+1 j+1), by swapping two letters of each word and hashing it.
+
+    The build that group_ring._swap_table's lexicographic runs replaced, kept as its oracle.
+    """
+    order = list(range(degree))
+    order[i], order[j] = j, i
+    rank = _rank_table(degree)
+    return tuple(map(rank.__getitem__, map(itemgetter(*order), rank)))
+
+
+def lookup_inverse_table(degree: int) -> tuple[int, ...]:
+    """table[k] = index of the inverse of the k-th permutation, by inverting and hashing each word.
+
+    The build that group_ring._inverse_table's lexicographic runs replaced, kept as its oracle.
+    """
+    rank = _rank_table(degree)
+    out = []
+    for w in rank:
+        inv = [0] * degree
+        for i, v in enumerate(w, start=1):
+            inv[v - 1] = i
+        out.append(rank[tuple(inv)])
+    return tuple(out)
+
+
+def lookup_recursion_order(degree: int) -> tuple[int, ...]:
+    """seminormal.recursion_order by building each word in the recursion's order and hashing it.
+
+    Group k lifts every word of the order one degree down past k and puts k
+    last. The build that the lexicographic runs replaced, kept as its oracle.
+    """
+    words = [()]
+    for r in range(1, degree):
+        words = [(*(v + (v >= k) for v in q), k) for k in range(1, r + 1) for q in words]
+    rank = _rank_table(degree)
+    return tuple(rank[(*(v + (v >= k) for v in q), k)] for k in range(1, degree + 1) for q in words)
 
 
 def module_rank(a, content):

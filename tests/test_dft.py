@@ -6,8 +6,8 @@ from math import factorial
 import pytest
 
 from conftest import (_generators, block_columns, descent_transform, generator_intertwiner,
-                      palindrome_times_group_sums, random_element, rank_test_elements, sparse_element,
-                      tabloid_solve_rep, unit_vector_table)
+                      lookup_recursion_order, palindrome_times_group_sums, random_element, rank_test_elements,
+                      sparse_element, tabloid_solve_rep, unit_vector_table)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -29,6 +29,7 @@ from symcurv import (
 from symcurv import seminormal
 from symcurv.dft import _intertwiner, _specht_matrix, block_ranks
 from symcurv.group_ring import MAX_DEGREE, _stabilizer_blocks
+from symcurv.permutation import _rank_table
 from symcurv.linalg import identity_matrix, mat_mul, rank_of_rows
 from symcurv.tensor import curvature_symmetrizer_star
 
@@ -328,12 +329,15 @@ def test_times_group_sums_matches_the_palindrome_chains(shapes):
     zero_sizes = set()
     for shape in shapes:
         f = hook_dimension(shape)
-        block = (6, [[rng.randint(-3, 3) for _ in range(f)] for _ in range(f)])
-        for stabilizer in _stabilizers(r):
-            got = seminormal.times_group_sums(shape, block, stabilizer)
-            assert got == palindrome_times_group_sums(shape, block, stabilizer), (shape, stabilizer)
-            if got is None:
-                zero_sizes.add(f)
+        dense = [[rng.randint(-3, 3) for _ in range(f)] for _ in range(f)]
+        # the dense block, then zero but every third row, zero but the last row, and zero
+        for kept in (range(f), range(1, f, 3), [f - 1], []):
+            block = (6, [row if k in kept else [0] * f for k, row in enumerate(dense)])
+            for stabilizer in _stabilizers(r):
+                got = seminormal.times_group_sums(shape, block, stabilizer)
+                assert got == palindrome_times_group_sums(shape, block, stabilizer), (shape, kept, stabilizer)
+                if got is None and len(kept) == f:
+                    zero_sizes.add(f)
     # some sums cancel to zero, beyond the trivial and sign shapes from degree 3 on
     assert zero_sizes and (r < 3 or max(zero_sizes) > 1)
 
@@ -381,6 +385,15 @@ def test_recursion_order_groups_words_by_last_entry(r):
     group = symmetric_group(r)
     step = factorial(r - 1)
     assert all(group[k].images[-1] == j // step + 1 for j, k in enumerate(order))
+
+
+@pytest.mark.parametrize("r", range(1, MAX_DEGREE + 1))
+def test_recursion_order_matches_the_word_lookup(r):
+    order = seminormal.recursion_order(r)
+    assert order == lookup_recursion_order(r)
+    # each cached entry is the rank table's own int object, as the lookup's are
+    ranks = list(_rank_table(r).values())
+    assert all(k is ranks[k] for k in order)
 
 
 @pytest.mark.parametrize("r", range(1, 5))

@@ -7,9 +7,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (assert_block_sum_matches_scatter, kernel_vectors, module_rank, random_element,
-                      rank_test_elements, scanned_stabilizer_symmetrizer, scatter_star, sorted_on,
-                      sparse_element)
+from conftest import (assert_block_sum_matches_scatter, kernel_vectors, lookup_inverse_table, lookup_swap_table,
+                      module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer,
+                      scatter_star, sorted_on, sparse_element)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -26,7 +26,8 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import _factored, _inverse_table, _numerators, _positions, _stabilizer_blocks, _swap_table
+from symcurv.group_ring import (MAX_DEGREE, _factored, _inverse_table, _numerators, _positions, _stabilizer_blocks,
+                                _swap_table)
 from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
 
@@ -465,11 +466,38 @@ def test_times_group_sum_rejects_bad_blocks():
             a.times_group_sum(block)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: stabilizer_symmetrizer(4, {1.5}),
+    lambda: stabilizer_symmetrizer(4, {2.0}),
+    lambda: stabilizer_symmetrizer(4, {True}),
+    lambda: GroupRingElement.identity(3).times_group_sum([1.5, 2]),
+    lambda: GroupRingElement.identity(3).times_group_sum([True, 2]),
+    lambda: GroupRingElement.identity(3).embed(5, [1.5, 2, 3]),
+    lambda: GroupRingElement.identity(3).embed(5, [True, 2, 3]),
+], ids=["fixed 1.5", "fixed 2.0", "fixed True", "block 1.5", "block True", "slot 1.5", "slot True"])
+def test_float_and_bool_positions_are_refused(call):
+    with pytest.raises(ValueError, match="must be ints"):
+        call()
+
+
 def test_degree_8_curvature_symmetrizer_is_essentially_idempotent():
     # the u = 4 class, out of reach of the direct convolution: 8!/f^(6 2) = 2016
     y = young_symmetrizer(curvature_tableau(4)).star()
     assert y.support_size() == 6 * 5 * 4 * 3 * 2 * 2 * 4
     assert y.is_essentially_idempotent() == 2016
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
+def test_grown_tables_match_the_word_lookups(degree):
+    ranks = list(_rank_table(degree).values())
+    tables = {"inverse": (_inverse_table(degree), lookup_inverse_table(degree))}
+    for j in range(degree):
+        for i in range(j):
+            tables[i + 1, j + 1] = (_swap_table(degree, i, j), lookup_swap_table(degree, i, j))
+    for name, (got, want) in tables.items():
+        assert got == want, name
+        # each cached entry is the rank table's own int object, as the lookups' are
+        assert all(x is ranks[x] for x in got), name
 
 
 @pytest.mark.parametrize("degree", range(1, 8))
