@@ -34,9 +34,9 @@ are read from one table of hook dimensions per degree (_block_sizes, at
 most MAX_DEGREE entries), shared by the BlockMatrixImage constructors,
 the zero blocks of a transform and the shape check of block_ranks.
 
-An element is transformed the way it is multiplied, split once by
-group_ring._factored: the recursion covers the rest of its support, and
-each group sum is a Jucys-Murphy chain. The degree cap MAX_DEGREE is the
+An element is transformed from its right split by group_ring._factored,
+the one place it is split: the recursion covers the rest of its support,
+and each right group sum is a content scale. The degree cap MAX_DEGREE is the
 only limit: a dense element of degree 8 goes forward, back or to its
 ranks in seconds.
 """
@@ -126,10 +126,14 @@ def _specht_matrix(parts: Partition) -> tuple[tuple[int, ...], ...]:
 def _seminormal_blocks(a: GroupRingElement, shapes: Sequence[Partition]) -> list[Block | None]:
     """Seminormal D_λ(a) per shape, None for a zero block.
 
-    a is split by _factored: Clausen's recursion covers its rest and each
-    group sum is a Jucys-Murphy chain.
+    a is split on its right only (_factored with two_sided=False):
+    Clausen's recursion covers its rest and each right group sum is a
+    content scale (seminormal.times_group_sums). Scaling rows through
+    left generators cost more than the recursion on the left group's
+    words: the words of a column group share one coset chain of the
+    recursion.
     """
-    den, stabilizer, numerators = _factored(a)
+    den, _, numerators, stabilizer = _factored(a, two_sided=False)
     values = [0] * factorial(a.degree)
     rank = _rank_table(a.degree)
     for w, n in numerators.items():

@@ -1,16 +1,23 @@
 """The exact-rational group ring Q[S_r].
 
 Elements are dense coefficient vectors indexed by the canonical
-(lexicographic) enumeration of S_r. A product a*b splits b once into
-what is left and the group sums of its right stabilizer (_factored),
-convolves a with what is left and runs each group sum as a chain of
+(lexicographic) enumeration of S_r. A product a*b splits b once
+(_factored) into the group sums of a left and a right Young-subgroup
+stabilizer around what is left; y* = V·H keeps one word between its
+column and row sums. a is multiplied by the left sums, convolved with
+what is left and multiplied by the right sums, each group sum a chain of
 Jucys-Murphy factors (A. Jucys, Rep. Math. Phys. 5, 1974; G. Murphy,
 J. Algebra 69, 1981), each step one C-speed gather through each
-transposition's table. The transform and the tensor action read the same
-split. Products run on integer numerators over each factor's common
+transposition's table. The tensor action reads the same split, the
+transform its right half. Products run on integer numerators over each factor's common
 denominator, and each nonzero of the product is divided once.
 Everything is an exact rational; floats never enter.
 Right-ideal ranks are read off Fourier blocks.
+
+Young and stabilizer symmetrizers need no arithmetic: a Young subgroup's
+ranks are grown coset by coset through the transpositions' tables
+(_subgroup_ranks), each coset's signs the last one's negated, and the
+symmetrizer is ±1 written once at each rank it holds.
 
 The index tables (each transposition's, the inverse's) are grown from
 lexicographic order, not by hashing one word per permutation: the words
@@ -25,15 +32,16 @@ shared freely across threads.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress, permutations
+from itertools import chain, compress, permutations, repeat
 from math import factorial, lcm
-from operator import add, itemgetter, le, sub
+from operator import add, attrgetter, eq, itemgetter, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .permutation import Permutation, _rank_table, perm_rank
+from .permutation import Permutation, _indices, _rank_table, perm_rank
 from .rationals import Rational, all_ints, as_rational, as_rationals, format_rational, wire_json, wire_scalar
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
@@ -54,12 +62,12 @@ def _int_positions(values: Iterable, what: str) -> list[int]:
     return values
 
 
-def _ranks(degree: int) -> list[int]:
+def _ranks(degree: int) -> tuple[int, ...]:
     """0..r!-1 as the rank table's own int objects; every table below is gathered from them."""
-    return list(_rank_table(degree).values())
+    return _indices(degree)
 
 
-def _inserted(degree: int, position: int, letter: int) -> list[int]:
+def _inserted(degree: int, position: int, letter: int) -> Sequence[int]:
     """table[t] = index in S_r of q_t, the t-th word of S_{r-1}, with a letter put in.
 
     The new letter is letter+1 at 0-based `position`, and q_t's letters from
@@ -141,29 +149,40 @@ def _positions(indices: Sequence[int]):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
-def _swap_sign(terms: Mapping[tuple[int, ...], Rational], i: int, j: int) -> int:
-    """s in {1, -1} with b * (i+1 j+1) = s*b, or 0 when there is none."""
-    for sign in (1, -1):
-        if all(terms.get(_swap(images, i, j)) == sign * c for images, c in terms.items()):
-            return sign
-    return 0
+def _swap_keeps(terms: Mapping[tuple[int, ...], Rational], i: int, j: int, sign: int) -> bool:
+    """Whether b * (i+1 j+1) = sign*b.
+
+    Each word goes through one itemgetter swap and terms.get at C speed,
+    and the comparison stops at the first coefficient that differs.
+    """
+    order = list(range(len(next(iter(terms)))))
+    order[i], order[j] = j, i
+    values = terms.values() if sign > 0 else map(neg, terms.values())
+    return all(map(eq, map(terms.get, map(itemgetter(*order), terms)), values))
 
 
 def _stabilizer_blocks(terms: Mapping[tuple[int, ...], Rational]) -> list[tuple[list[int], int]]:
     """Blocks B of 0-based positions and signs s with b*h = s*b for each transposition h of S_B.
 
-    terms maps the words of b to their nonzero coefficients; b = 0 has no
-    blocks. For b != 0 the transpositions h with b*h = ±b generate a Young
+    terms maps the words of b to their nonzero coefficients. A
+    transposition moves every word, so b = 0 and b of one word have no
+    blocks. Otherwise the transpositions h with b*h = ±b generate a Young
     subgroup on which b transforms by a character: (i k) = (i j)(j k)(i j)
     joins the pairs into cliques, one per block, and conjugate
     transpositions carry one sign. So a position joins at most one block,
-    found by testing it against each block's first position.
+    found by testing it against each block's first position. The first
+    word's swap names the only sign a pair can carry, so most pairs are
+    refused before the rest of b is read.
     """
+    if len(terms) < 2:
+        return []
+    word, c = next(iter(terms.items()))
+    signs = {c: 1, -c: -1}
     blocks: list[tuple[list[int], int]] = []
-    for j in range(len(next(iter(terms), ()))):
+    for j in range(len(word)):
         for n, (block, _) in enumerate(blocks):
-            sign = _swap_sign(terms, block[0], j)
-            if sign:
+            sign = signs.get(terms.get(_swap(word, block[0], j)), 0)
+            if sign and _swap_keeps(terms, block[0], j, sign):
                 blocks[n] = (block + [j], sign)
                 break
         else:
@@ -195,32 +214,70 @@ def _times_block_sum(coeffs: Sequence[Rational], block: Sequence[int], sign: int
 def _numerators(a: "GroupRingElement") -> tuple[int, dict[tuple[int, ...], int]]:
     """(den, numerators): a's coefficients are numerators[w] / den over its nonzero words w.
 
-    den is the lcm of the coefficients' denominators, so the numerators are ints.
+    den is the lcm of the coefficients' denominators, so the numerators are
+    ints; when the coefficients are all ints, den is 1 and they are their
+    own numerators, found at C speed.
     """
-    terms = list(compress(zip(_rank_table(a.degree), a.coeffs), a.coeffs))
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in terms}
+    terms = dict(compress(zip(_rank_table(a.degree), a.coeffs), a.coeffs))
+    if all_ints(terms.values()):
+        return 1, terms
+    den = lcm(*map(attrgetter("denominator"), terms.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
 
 
-def _factored(a: "GroupRingElement") -> tuple[int, list[tuple[list[int], int]], dict[tuple[int, ...], int]]:
-    """(den, blocks, rest) with a = (Σ_w rest[w]·w)/den · Π_B Σ_{g in S_B} χ_B(g)·g.
-
-    blocks are a's right stabilizer blocks B with signs (_stabilizer_blocks):
-    a·h = χ_B(h)·a for each transposition h in S_B, χ_B the sign character
-    for sign -1 and trivial for 1. So on each coset w·Π_B S_B a's terms are
-    one coefficient times χ, and rest keeps, over den, the integer numerator
-    of the coset's one word that increases along every block. Products,
-    transforms and tensor actions run the rest, then each group sum as a
-    Jucys-Murphy chain (_times_block_sum); this is the one place a is split.
-    """
-    den, numerators = _numerators(a)
-    blocks = _stabilizer_blocks(numerators)
-    # the coset's word increases along each block: w[i] <= w[j] for consecutive i, j
+def _sorted_on(terms: dict[tuple[int, ...], int], blocks: list[tuple[list[int], int]]) -> dict[tuple[int, ...], int]:
+    """The terms whose words increase along every block: w[i] <= w[j] for consecutive i, j of a block."""
     pairs = [(i, j) for block, _ in blocks for i, j in zip(block, block[1:])]
     if not pairs:
-        return den, blocks, numerators
+        return terms
     lo, hi = (_positions(half) for half in zip(*pairs))
-    return den, blocks, {w: n for w, n in numerators.items() if all(map(le, lo(w), hi(w)))}
+    return {w: n for w, n in terms.items() if all(map(le, lo(w), hi(w)))}
+
+
+@lru_cache(maxsize=None)
+def _word_list(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The one-line words of S_r by index."""
+    return tuple(_rank_table(degree))
+
+
+def _inverted(terms: dict[tuple[int, ...], int], degree: int) -> dict[tuple[int, ...], int]:
+    """The same coefficients on the inverse words, each found through the rank and inverse tables at C speed."""
+    inverse = map(_inverse_table(degree).__getitem__, map(_rank_table(degree).__getitem__, terms))
+    return dict(zip(map(_word_list(degree).__getitem__, inverse), terms.values()))
+
+
+Split = tuple[int, list[tuple[list[int], int]], dict[tuple[int, ...], int], list[tuple[list[int], int]]]
+
+
+def _factored(a: "GroupRingElement", two_sided: bool = True) -> Split:
+    """(den, left, rest, right) with a = Π_left Σ χ(g)·g · (Σ_w rest[w]·w)/den · Π_right Σ χ(g)·g.
+
+    right are a's right stabilizer blocks B with signs (_stabilizer_blocks):
+    a·h = χ_B(h)·a for each transposition h in S_B, χ_B the sign character
+    for sign -1 and trivial for 1. So on each coset w·Π_B S_B a's terms are
+    one coefficient times χ, and the rest keeps, over den, the integer
+    numerator of the coset's one word that increases along every block.
+    left are the right stabilizer blocks of the rest's inverse words, since
+    h·b = χ(h)·b exactly when b*·h = χ(h)·b*; the rest then keeps one word
+    per left coset too, the one whose inverse increases along every left
+    block. So y* = V·H keeps one word, its rows on the right and its
+    columns on the left. The left side shows only when the right coset
+    words form a left-stable set, as y*'s do; y = H·V keeps its rows in
+    the rest. Products and tensor actions run the group sums as
+    Jucys-Murphy chains (_times_block_sum). Transforms scale only right
+    group sums, so they ask for the right split alone (two_sided=False,
+    left is then empty); this is the one place a is split.
+    """
+    den, numerators = _numerators(a)
+    right = _stabilizer_blocks(numerators)
+    rest = _sorted_on(numerators, right)
+    if not two_sided:
+        return den, [], rest, right
+    inverse = _inverted(rest, a.degree)
+    left = _stabilizer_blocks(inverse)
+    if left:
+        rest = _inverted(_sorted_on(inverse, left), a.degree)
+    return den, left, rest, right
 
 
 @dataclass(frozen=True)
@@ -307,9 +364,10 @@ class GroupRingElement:
     def __mul__(self, other) -> "GroupRingElement":
         """Convolution: (a*b)(s) = sum over p*q = s of a(p) b(q).
 
-        b is split by _factored, so a*b is a convolved with b's rest, then
-        times b's group sums. Both run on integer numerators, and each
-        nonzero of the result is divided once by the two denominators.
+        b is split by _factored, so a*b is a times b's left group sums,
+        convolved with b's rest, then times b's right group sums. All run on
+        integer numerators, and each nonzero of the result is divided once
+        by the two denominators.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -317,15 +375,26 @@ class GroupRingElement:
             return NotImplemented
         self._check_degree(other)
         den_a, mine = _numerators(self)
-        den_b, blocks, theirs = _factored(other)
+        den_b, left, theirs, right = _factored(other)
         rank = _rank_table(self.degree)
+        swap = partial(_swap_table, self.degree)
         out: list[Rational] = [0] * len(rank)
+        terms = mine.items()
+        if left:
+            # a times b's left group sums, on a's numerators over all of S_r
+            values = self.coeffs if den_a == 1 else list(map(mine.get, rank, repeat(0)))
+            for block, sign in left:
+                values = _times_block_sum(values, block, sign, swap)
+            # the rest's identity word, the one word y*'s rest keeps, adds a·L itself at C speed
+            y = theirs.pop(tuple(range(1, self.degree + 1)), 0)
+            if y:
+                out = values if y == 1 else list(map(mul, values, repeat(y)))
+            terms = list(compress(zip(rank, values), values)) if theirs else ()
         for q, y in theirs.items():
             compose = _positions([v - 1 for v in q])  # p -> p*q
-            for p, x in mine.items():
+            for p, x in terms:
                 out[rank[compose(p)]] += x * y
-        swap = partial(_swap_table, self.degree)
-        for block, sign in blocks:
+        for block, sign in right:
             out = _times_block_sum(out, block, sign, swap)
         den = den_a * den_b
         if den != 1:
@@ -475,15 +544,51 @@ class GroupRingElement:
         return cls.from_dict(json.loads(text))
 
 
+def _subgroup_ranks(degree: int, blocks: Iterable[Sequence[int]], signed: bool,
+                    ranks: Sequence[int] = (0,), signs: Sequence[int] = (1,)) -> tuple[list[int], list[int]]:
+    """(ranks, signs) of every p·g: p ranked in ranks with its sign, g in the Young subgroup Π_B S_B.
+
+    blocks are disjoint sequences of letters; by default p is only the
+    identity, rank 0. S_{b_1..b_k+1} is k+1 cosets of S_{b_1..b_k}: itself,
+    then itself times c = (b_k b_k+1), times c·(b_k-1 b_k), and so on, each
+    one transposition longer. So each coset is the last one gathered
+    through one swap table (_swap_table) at C speed, and when signed it
+    carries the last one's signs negated. No word is built or hashed. The
+    products are distinct when the p lie in a subgroup meeting this one
+    only in the identity, as a tableau's row and column groups do.
+    """
+    ranks, signs = list(ranks), list(signs)
+    for block in blocks:
+        for k in range(1, len(block)):
+            coset, coset_signs = ranks, signs
+            ranks, signs = list(ranks), list(signs)
+            for i, j in zip(block[k - 1::-1], block[k:0:-1]):
+                coset = list(map(_swap_table(degree, min(i, j) - 1, max(i, j) - 1).__getitem__, coset))
+                if signed:
+                    coset_signs = list(map(neg, coset_signs))
+                ranks += coset
+                signs += coset_signs
+    return ranks, signs
+
+
+def _scatter(coeffs: list, indices: Iterable[int], values: Iterable) -> list:
+    """coeffs with values[n] written at indices[n], at C speed."""
+    deque(map(coeffs.__setitem__, indices, values), maxlen=0)
+    return coeffs
+
+
 def stabilizer_symmetrizer(degree: int, fixed: Iterable[int],
                            signed: bool = False) -> GroupRingElement:
     """Sum of all permutations fixing every listed position.
 
     Unsigned coefficients are 1; with signed=True each permutation
     carries its sign, so fixing nothing gives the full antisymmetrizer.
+    The sum is a signed set: 1 or the sign written once at the rank of
+    each permutation of the free positions (_subgroup_ranks).
     """
     fixed = set(_int_positions(fixed, "fixed positions"))
     if any(not 1 <= i <= degree for i in fixed):
         raise ValueError(f"fixed positions must lie in 1..{degree}")
-    free = [i for i in range(1, degree + 1) if i not in fixed]
-    return GroupRingElement.identity(degree).times_group_sum(free, signed)
+    _require_degree(degree)
+    ranks, signs = _subgroup_ranks(degree, [[i for i in range(1, degree + 1) if i not in fixed]], signed)
+    return GroupRingElement(degree, _scatter([0] * factorial(degree), ranks, signs))

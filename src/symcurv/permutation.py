@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_words
+from math import factorial
 from typing import Iterable, Sequence
 
 
@@ -150,9 +151,15 @@ def symmetric_group(degree: int) -> tuple[Permutation, ...]:
 
 
 @lru_cache(maxsize=None)
+def _indices(degree: int) -> tuple[int, ...]:
+    """0..r!-1, one tuple per degree: the int objects of the rank table and of every index table."""
+    return tuple(range(factorial(degree)))
+
+
+@lru_cache(maxsize=None)
 def _rank_table(degree: int) -> dict[tuple[int, ...], int]:
     """One-line word to index; itertools.permutations already yields the canonical order."""
-    return {w: i for i, w in enumerate(_lex_words(range(1, degree + 1)))}
+    return dict(zip(_lex_words(range(1, degree + 1)), _indices(degree)))
 
 
 def perm_rank(p: Permutation) -> int:

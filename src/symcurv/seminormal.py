@@ -12,7 +12,11 @@ and D(s_i) e_T = d e_T. The Jucys-Murphy element L_j = Σ_{i<j} (i j)
 acts on e_T by c_T(j), so the group sum Σ_{g in S_{1..m}} χ(g)·g scales
 e_T by Π_{2≤j≤m} (1 + χ·c_T(j)) (G. Murphy, J. Algebra 69, 1981). The
 sum over any other block B is that scale conjugated by the shortest word
-sliding {1..m} onto B, one rule for every group sum.
+sliding {1..m} onto B, one rule for every group sum. Only an element's
+right group sums are scaled here: dft splits it on the right only and
+leaves any left group sum in its words, since the words of a column group
+share one coset chain of the recursion below, which costs less than
+sliding rows.
 
 The tableaux holding r in one corner are contiguous in last-letter order
 and come in the smaller shape's own order, so restricted to S_{r-1} the

@@ -5,6 +5,12 @@ tableau whose largest differing entry sits in the lower row comes first.
 That order is the basis order of the natural representation, so it is
 load-bearing for the Fourier modules and must not change. It is also
 the order in which corner recursion grows them, so nothing is sorted.
+
+A Young symmetrizer Σ sign(v)·h·v over the row group H and the column
+group V is a signed set: H ∩ V = {e}, so the products are distinct, and
+each is written once with its sign, with no arithmetic. Partitions and
+tableaux hold ints only: a float, bool or string is refused, not
+truncated.
 """
 
 from __future__ import annotations
@@ -12,19 +18,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from itertools import permutations as _words
 from itertools import product as _cartesian
 from math import factorial
 from typing import Iterator, Sequence
 
-from .group_ring import MAX_DEGREE, GroupRingElement
+from .group_ring import MAX_DEGREE, GroupRingElement, _scatter, _subgroup_ranks
 from .permutation import Permutation
+from .rationals import all_ints
 
 Partition = tuple[int, ...]
 
 
 def validate_partition(parts: Sequence[int]) -> Partition:
-    parts = tuple(int(v) for v in parts)
+    """The parts as a tuple of ints; a float, bool or string is refused, not truncated."""
+    parts = tuple(parts)
+    if not all_ints(parts):
+        raise ValueError(f"partition parts must be ints, got {list(parts)}")
     if not parts or any(v <= 0 for v in parts):
         raise ValueError(f"partition parts must be positive: {list(parts)}")
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -109,7 +120,9 @@ class YoungTableau:
         return type(self), (self.rows,)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        if not all_ints(chain.from_iterable(rows)):
+            raise ValueError(f"tableau entries must be ints, got {[list(row) for row in rows]}")
         shape = tuple(len(row) for row in rows)
         validate_partition(shape)
         entries = [v for row in rows for v in row]
@@ -205,21 +218,20 @@ def _standard_tableaux(parts: Partition) -> tuple[YoungTableau, ...]:
 
 
 def young_symmetrizer(t: YoungTableau) -> GroupRingElement:
-    """Signed double sum over the row and column groups of the tableau.
+    """Signed double sum Σ sign(v)·h·v over the row group H and the column group V of the tableau.
 
-    Row permutations enter with coefficient 1, column permutations with
-    their sign, composed row-then-column: the identity times the group sum
-    of each row, then times the signed group sum of each column. Tableaux
-    beyond the group-ring degree cap are refused before anything is built.
+    H and V meet only in the identity, so the |H|·|V| products h·v are
+    distinct and y is a signed set: sign(v) written once at each, with no
+    arithmetic. H's ranks are grown from the identity and V's cosets on
+    top of them (group_ring._subgroup_ranks), all through the
+    transpositions' tables. Tableaux beyond the group-ring degree cap are
+    refused before anything is built.
     """
     if t.size > MAX_DEGREE:
         raise ValueError(f"tableau on {t.size} letters exceeds the degree cap {MAX_DEGREE}")
-    y = GroupRingElement.identity(t.size)
-    for row in t.rows:
-        y = y.times_group_sum(row)
-    for column in t.columns():
-        y = y.times_group_sum(column, signed=True)
-    return y
+    rows = _subgroup_ranks(t.size, t.rows, signed=False)
+    ranks, signs = _subgroup_ranks(t.size, t.columns(), True, *rows)
+    return GroupRingElement(t.size, _scatter([0] * factorial(t.size), ranks, signs))
 
 
 def curvature_tableau(u: int) -> YoungTableau:

@@ -8,8 +8,10 @@ a tuple of vectors into a group-ring element. Under these conventions
 composition order.
 
 An operator is compiled once per dimension (_compiled_action). On a
-tensor at least half nonzero it acts the way it multiplies, split by
-group_ring._factored, each pass a C-speed gather over the coordinates;
+tensor at least half nonzero it acts the way it multiplies, split on both
+sides by group_ring._factored: its right group sums, its rest, then its
+left group sums, each pass a C-speed gather over the coordinates (y*
+takes 4 row passes, 1 word and 2 column passes);
 on a sparser tensor its terms are merged by output once per equal-entry
 pattern of the coordinates (_Patterns).
 tensor_product writes only products of nonzeros: on sparse tensors the
@@ -251,9 +253,9 @@ _COMPILED_CELLS = 1 << 18
 class _Patterns(dict):
     """The action of a on the coordinates of one dim: its split, and its terms merged per pattern.
 
-    den and blocks are a's split (group_ring._factored), and gathers holds
-    the inverse of each word of its rest with the word's numerator, which
-    the dense branch of apply_operator runs. For the sparse branch a flat
+    den, left and right are a's split (group_ring._factored), and gathers
+    holds the inverse of each word of its rest with the word's numerator,
+    which the dense branch of apply_operator runs. For the sparse branch a flat
     coordinate j splits as hi * split + lo between its first order // 2
     slots and the rest, so a term p sends e_j to e_{high[hi] + low[lo]},
     with high and low the slot tables of p's images on the two parts
@@ -280,7 +282,7 @@ class _Patterns(dict):
         self.high_digits = tuple(_cartesian(range(dim), repeat=self.cut))
         self.low_digits = tuple(_cartesian(range(dim), repeat=order - self.cut))
         self.terms = list(compress(zip(_rank_table(order), a.coeffs), a.coeffs))
-        self.den, self.blocks, rest = _factored(a)
+        self.den, self.left, rest, self.right = _factored(a)
         self.gathers = [(tuple(images.index(v) + 1 for v in range(1, order + 1)), n)
                         for images, n in rest.items()]
         self.tables: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -357,10 +359,11 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
     equal-entry pattern (_Patterns); a pattern the operator had no room to
     keep is merged once per call.
     Otherwise a acts as split by group_ring._factored: since
-    (a*b)T = a(bT), each group sum acts first as its Jucys-Murphy chain,
-    then each word p of the rest gathers the tensor through the slot table
-    of p^{-1}, scaled by its integer numerator, and each output is divided
-    once. Both run at C speed over the coordinates.
+    (a*b)T = a(bT), each right group sum acts first as its Jucys-Murphy
+    chain, then each word p of the rest gathers the tensor through the
+    slot table of p^{-1}, scaled by its integer numerator, then each left
+    group sum acts as its chain, and each output is divided once. All run
+    at C speed over the coordinates.
     """
     if a.degree != t.order:
         raise ValueError(f"operator degree {a.degree} != tensor order {t.order}")
@@ -386,19 +389,22 @@ def apply_operator(a: GroupRingElement, t: DenseTensor) -> DenseTensor:
                 out[high[hi] + low[lo]] += c * v
         return _kernel_output(order, dim, out, action.den == 1 and all_ints(compress(coords, coords)))
     identity = tuple(range(1, order + 1))
-    for block, sign in action.blocks:
-        coords = _times_block_sum(coords, block, sign,
-                                  lambda i, j: _slot_lookup(_swap(identity, i, j), order, dim))
+    swap = lambda i, j: _slot_lookup(_swap(identity, i, j), order, dim)
+    for block, sign in action.right:
+        coords = _times_block_sum(coords, block, sign, swap)
     out = None  # the first word's image, then the running sum
     for inverse, n in action.gathers:
         image = _positions(_slot_lookup(inverse, order, dim))(coords)
         if n == -1:
             out = list(map(neg, image) if out is None else map(sub, out, image))
+        elif out is None:  # the gathered tuple is a fresh sequence already
+            out = image if n == 1 else list(map(mul, image, repeat(n)))
         else:
-            image = image if n == 1 else map(mul, image, repeat(n))
-            out = list(image if out is None else map(add, out, image))
+            out = list(map(add, out, image if n == 1 else map(mul, image, repeat(n))))
     if out is None:  # the zero operator has no words
         out = [0] * len(coords)
+    for block, sign in action.left:
+        out = _times_block_sum(out, block, sign, swap)
     if action.den == 1:
         # a canonical zero is an int, and at least half of t is nonzero, so all of t is scanned
         return _kernel_output(order, dim, out, all_ints(t.coords))

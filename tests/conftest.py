@@ -13,6 +13,7 @@ from symcurv import (
     BlockMatrixImage,
     DenseTensor,
     GroupRingElement,
+    Permutation,
     YoungTableau,
     hook_dimension,
     partitions_of,
@@ -22,7 +23,7 @@ from symcurv import (
 )
 from symcurv import linalg, seminormal
 from symcurv.dft import _cells, _checked_shape, _coefficient, _specht_matrix
-from symcurv.group_ring import _factored, _inverse_table, _positions, _stabilizer_blocks, _times_block_sum
+from symcurv.group_ring import _factored, _inverse_table, _numerators, _positions, _stabilizer_blocks, _times_block_sum
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.permutation import _rank_table
 from symcurv.rationals import as_rational, as_rationals
@@ -52,6 +53,73 @@ def scanned_stabilizer_symmetrizer(degree: int, fixed, signed: bool = False) -> 
         if all(p(j) == j for j in fixed):
             coeffs[i] = p.sign() if signed else 1
     return GroupRingElement(degree, coeffs)
+
+
+def chain_stabilizer_symmetrizer(degree: int, fixed, signed: bool = False) -> GroupRingElement:
+    """The sum of the permutations fixing the listed positions, as one Jucys-Murphy chain from the identity.
+
+    The build that stabilizer_symmetrizer's signed set replaced, kept as its oracle.
+    """
+    fixed = set(fixed)
+    free = [i for i in range(1, degree + 1) if i not in fixed]
+    return GroupRingElement.identity(degree).times_group_sum(free, signed)
+
+
+def chain_young_symmetrizer(t: YoungTableau) -> GroupRingElement:
+    """The identity times each row's group sum, then each column's signed group sum, as chains.
+
+    The build that young_symmetrizer's signed set replaced, kept as its oracle.
+    """
+    y = GroupRingElement.identity(t.size)
+    for row in t.rows:
+        y = y.times_group_sum(row)
+    for column in t.columns():
+        y = y.times_group_sum(column, signed=True)
+    return y
+
+
+def right_split(a: GroupRingElement):
+    """(den, blocks, rest): a = (Σ rest[w]·w)/den · Π_B Σ χ(g)·g over its right stabilizer blocks only.
+
+    The one-sided split that group_ring._factored made before it split the
+    left side too, kept for the oracles that were built on it.
+    """
+    den, numerators = _numerators(a)
+    blocks = _stabilizer_blocks(numerators)
+    return den, blocks, {w: n for w, n in numerators.items() if sorted_on(w, blocks)}
+
+
+def direct_product(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
+    """a * b as the double loop over the terms of both factors."""
+    return GroupRingElement.from_terms(
+        a.degree, [(p * q, cp * cq) for p, cp in a.terms() for q, cq in b.terms()])
+
+
+def group_sum(degree: int, block, signed: bool = False) -> GroupRingElement:
+    """Σ g (signed: Σ sgn(g) g) over the permutations moving only the block, by a scan."""
+    return scanned_stabilizer_symmetrizer(degree, set(range(1, degree + 1)) - set(block), signed)
+
+
+def rebuilt_from_split(a: GroupRingElement) -> GroupRingElement:
+    """Π_left Σ χ(g)·g · (Σ rest[w]·w)/den · Π_right Σ χ(g)·g from a's split, by double-loop products.
+
+    Each group sum is found by a scan of S_r, so nothing of the split's own
+    kernels is used. The split's shape is checked on the way: integer
+    nonzero numerators, each rest word increasing along every right block
+    and its inverse along every left block.
+    """
+    den, left, rest, right = _factored(a)
+    assert all(type(n) is int and n for n in rest.values())
+    for w in rest:
+        inverse = Permutation(w).inverse().images
+        assert all(w[i] < w[j] for block, _ in right for i, j in zip(block, block[1:]))
+        assert all(inverse[i] < inverse[j] for block, _ in left for i, j in zip(block, block[1:]))
+    out = GroupRingElement.from_terms(a.degree, [(w, Fraction(n, den)) for w, n in rest.items()])
+    for block, sign in left:
+        out = direct_product(group_sum(a.degree, [i + 1 for i in block], sign < 0), out)
+    for block, sign in right:
+        out = direct_product(out, group_sum(a.degree, [i + 1 for i in block], sign < 0))
+    return out
 
 
 def rank_test_elements(rng, degree: int, full_rank_too: bool = True) -> list[GroupRingElement]:
@@ -607,7 +675,7 @@ def block_columns(a, shapes):
     tree covers a0's support, and each group sum is the chain
     Π_j (I + χ·Σ_{i<j} D((i j))), D((i j)) the palindrome s_{j-1}···s_i···s_{j-1}.
     """
-    den, blocks, numerators = _factored(a)
+    den, blocks, numerators = right_split(a)
     tree = _descent_tree(numerators)
     out = []
     for shape in shapes:

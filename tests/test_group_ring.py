@@ -7,9 +7,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (assert_block_sum_matches_scatter, kernel_vectors, lookup_inverse_table, lookup_swap_table,
-                      module_rank, random_element, rank_test_elements, scanned_stabilizer_symmetrizer,
-                      scatter_star, sorted_on, sparse_element)
+from conftest import (assert_block_sum_matches_scatter, direct_product, group_sum, kernel_vectors,
+                      lookup_inverse_table, lookup_swap_table, module_rank, random_element, rank_test_elements,
+                      rebuilt_from_split, right_split, scatter_star, sorted_on, sparse_element)
 from symcurv import (
     BlockMatrixImage,
     GroupRingElement,
@@ -26,10 +26,12 @@ from symcurv import (
     young_symmetrizer,
 )
 from symcurv.dft import fourier_eta, fourier_xi
-from symcurv.group_ring import (MAX_DEGREE, _factored, _inverse_table, _numerators, _positions, _stabilizer_blocks,
+from symcurv.group_ring import (MAX_DEGREE, _factored, _inverse_table, _positions, _stabilizer_blocks,
                                 _swap_table)
 from symcurv.permutation import _rank_table
 from symcurv.linalg import rank_of_rows
+from symcurv.tensor import _curvature_annihilators
+from symcurv.verify import stab_xi
 
 
 def basis(images):
@@ -272,17 +274,6 @@ def test_degree_cap():
 # -- the factored product against the direct convolution ------------------------
 
 
-def direct_product(a, b):
-    """a * b as the double loop over the terms of both factors."""
-    return GroupRingElement.from_terms(
-        a.degree, [(p * q, cp * cq) for p, cp in a.terms() for q, cq in b.terms()])
-
-
-def group_sum(degree, block, signed=False):
-    """Σ g (signed: Σ sgn(g) g) over the permutations moving only the block, by a scan."""
-    return scanned_stabilizer_symmetrizer(degree, set(range(1, degree + 1)) - set(block), signed)
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
 def test_product_matches_direct_on_random_pairs(degree):
     rng = random.Random(60 + degree)
@@ -376,30 +367,24 @@ def test_stabilizer_blocks_of_curvature_symmetrizers():
     assert _stabilizer_blocks({}) == []
 
 
-def _rebuilt(a):
-    """(Σ rest[w]·w)/den times each group sum of a's split."""
-    den, blocks, rest = _factored(a)
-    assert all(type(n) is int and n for n in rest.values())
-    out = GroupRingElement.from_terms(a.degree, [(w, Fraction(n, den)) for w, n in rest.items()])
-    for block, sign in blocks:
-        assert all(w[i] < w[j] for w in rest for i, j in zip(block, block[1:]))
-        out = out.times_group_sum([i + 1 for i in block], signed=sign < 0)
-    return out
-
-
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
 def test_factored_form_rebuilds_the_element(degree):
     for a in rank_test_elements(random.Random(70 + degree), degree):
-        assert _rebuilt(a) == a
-        assert _rebuilt(a.scale(Fraction(-2, 3))) == a.scale(Fraction(-2, 3))
-    assert _rebuilt(GroupRingElement.zero(degree)) == GroupRingElement.zero(degree)
+        assert rebuilt_from_split(a) == a
+        assert rebuilt_from_split(a.scale(Fraction(-2, 3))) == a.scale(Fraction(-2, 3))
+    assert rebuilt_from_split(GroupRingElement.zero(degree)) == GroupRingElement.zero(degree)
 
 
 @pytest.mark.parametrize("u", [0, 1, 2, 3])
 def test_factored_form_rebuilds_the_curvature_symmetrizer(u):
-    ystar = young_symmetrizer(curvature_tableau(u)).star()
-    assert _factored(ystar)[1]  # y* = C R is stable under its rows
-    assert _rebuilt(ystar) == ystar
+    t = curvature_tableau(u)
+    ystar = young_symmetrizer(t).star()
+    rows, columns = ([[v - 1 for v in b] for b in bs if len(b) > 1] for bs in (t.rows, t.columns()))
+    # y* = V·H: its rows on the right, its columns on the left, one word between
+    den, left, rest, right = _factored(ystar)
+    assert (den, rest) == (1, {tuple(range(1, u + 5)): 1})
+    assert right == [(b, 1) for b in rows] and left == [(b, -1) for b in columns]
+    assert rebuilt_from_split(ystar) == ystar
 
 
 def test_factored_filter_matches_the_per_word_test():
@@ -411,9 +396,12 @@ def test_factored_filter_matches_the_per_word_test():
     elements += [young_symmetrizer(curvature_tableau(u)).star() for u in (0, 1, 2, 3)]
     elements += rank_test_elements(random.Random(75), 5)
     for a in elements:
-        den, numerators = _numerators(a)
-        blocks = _stabilizer_blocks(numerators)
-        assert _factored(a) == (den, blocks, {w: n for w, n in numerators.items() if sorted_on(w, blocks)})
+        den, right, rest = right_split(a)
+        assert _factored(a, two_sided=False) == (den, [], rest, right)
+        inverse = {Permutation(w).inverse().images: n for w, n in rest.items()}
+        left = _stabilizer_blocks(inverse)
+        rest = {Permutation(w).inverse().images: n for w, n in inverse.items() if sorted_on(w, left)}
+        assert _factored(a) == (den, left, rest, right)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7])
@@ -507,3 +495,53 @@ def test_rank_and_inverse_tables_match_permutation_objects(degree):
     assert list(_rank_table(degree).items()) == [(p.images, i) for i, p in enumerate(group)]
     inverse_rank = {p.inverse(): i for i, p in enumerate(group)}
     assert _inverse_table(degree) == tuple(inverse_rank[p] for p in group)
+
+
+def split_inputs(rng, degree):
+    """Seeded elements without stabilizers and with right, left and two-sided group sums, over rationals."""
+    a = sparse_element(rng, degree, 5)
+    out = [a, GroupRingElement.zero(degree), GroupRingElement.identity(degree), random_element(rng, degree)]
+    for _ in range(2 if degree > 1 else 0):
+        right, left = (sorted(rng.sample(range(1, degree + 1), min(degree - 1, 3) or 2)) for _ in range(2))
+        b = a.times_group_sum(right, signed=rng.random() < 0.5)
+        # left group sums through the involution: (Σ g·x*)* = Σ x·g^{-1}
+        out += [b, b.star().times_group_sum(left, signed=rng.random() < 0.5).star(),
+                a.star().times_group_sum(left, signed=rng.random() < 0.5).star()]
+    return out
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_split_rebuilds_seeded_elements(degree):
+    elements = split_inputs(random.Random(400 + degree), degree)
+    for a in elements:
+        assert rebuilt_from_split(a) == a
+    if degree > 2:
+        # a left group sum after a right one need not show: the rest keeps one word per right coset, not a left-stable set
+        assert any(_factored(a)[1] for a in elements) and any(_factored(a)[3] for a in elements)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2, 3])
+def test_split_rebuilds_curvature_symmetrizers_and_their_products(u):
+    y = young_symmetrizer(curvature_tableau(u))
+    ystar = y.star()
+    # y = H·V keeps H in its rest: one word per coset w·V, increasing along the columns, is not an H-stable set
+    assert not _factored(y)[1] and _factored(y)[3]
+    for a in (y, ystar, ystar * ystar, ystar * y):
+        assert rebuilt_from_split(a) == a
+
+
+def test_split_rebuilds_the_paper_operators():
+    elements = [stab_xi(1), stab_xi(2), *_curvature_annihilators(4), *_curvature_annihilators(5)]
+    assert any(_factored(a)[3] for a in elements)
+    for a in elements:
+        assert rebuilt_from_split(a) == a
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_product_by_left_group_sums_matches_direct(degree):
+    # the left chain runs on a's numerators: rational a, and b whose rest keeps the identity and other words
+    rng = random.Random(420 + degree)
+    for b in split_inputs(rng, degree):
+        a = sparse_element(rng, degree, 6)
+        assert a * b == direct_product(a, b)
+        assert b * a == direct_product(b, a)

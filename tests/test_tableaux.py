@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
 
-from conftest import scanned_stabilizer_symmetrizer, sorted_standard_tableaux
+from conftest import (chain_stabilizer_symmetrizer, chain_young_symmetrizer, scanned_stabilizer_symmetrizer,
+                      sorted_standard_tableaux)
 from symcurv import (
     GroupRingElement,
+    Permutation,
     YoungTableau,
     curvature_tableau,
     hook_dimension,
@@ -16,6 +19,8 @@ from symcurv import (
     weyl_dimension,
     young_symmetrizer,
 )
+from symcurv.group_ring import _subgroup_ranks
+from symcurv.permutation import perm_rank, symmetric_group
 from symcurv.tableaux import conjugate_partition, format_partition, validate_partition
 
 
@@ -38,6 +43,29 @@ def test_validate_partition():
     with pytest.raises(ValueError):
         validate_partition((2, 0))
     assert validate_partition([3, 2]) == (3, 2)
+
+
+@pytest.mark.parametrize("parts", [[2.5, 1], [2.0, 1], [3, 1.0], [True], [2, True], ["2", "1"], ["3"]],
+                         ids=repr)
+def test_partitions_refuse_parts_that_are_not_ints(parts):
+    # a float, bool or string used to be truncated by int(): hook_dimension([2.5, 1]) was 2
+    for call in (validate_partition, hook_dimension, conjugate_partition, standard_tableaux,
+                 lambda p: weyl_dimension(p, 3)):
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            call(parts)
+
+
+@pytest.mark.parametrize("rows", [[[1.9, 2.2], [3.0]], [[1.0, 2], [3]], [["1", "2"], ["3"]],
+                                  [[True, 2]], [[1, 2], [3.5]]], ids=repr)
+def test_tableaux_refuse_entries_that_are_not_ints(rows):
+    # YoungTableau([[1.9, 2.2], [3.0]]) used to become [[1, 2], [3]]
+    with pytest.raises(ValueError, match="tableau entries must be ints"):
+        YoungTableau(rows)
+
+
+def test_tableaux_keep_int_rows_from_any_iterable():
+    assert YoungTableau([range(1, 3), (3,)]).rows == ((1, 2), (3,))
+    assert YoungTableau(iter([[1, 3], [2]])).rows == ((1, 3), (2,))
 
 
 def test_conjugate():
@@ -203,3 +231,75 @@ def test_stabilizer_symmetrizer_matches_group_scan(degree):
         for signed in (False, True):
             assert (stabilizer_symmetrizer(degree, fixed, signed)
                     == scanned_stabilizer_symmetrizer(degree, fixed, signed))
+
+
+def _typed(a):
+    return [(type(c), c) for c in a.coeffs]
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_young_symmetrizer_matches_the_chain_build(degree):
+    # every standard tableau, then seeded shuffled fillings of each shape
+    rng = random.Random(300 + degree)
+    for shape in partitions_of(degree):
+        tableaux = list(standard_tableaux(shape))
+        for _ in range(3):
+            entries = rng.sample(range(1, degree + 1), degree)
+            rows = [entries[sum(shape[:i]):sum(shape[:i + 1])] for i in range(len(shape))]
+            tableaux.append(YoungTableau(rows))
+        for t in tableaux:
+            assert _typed(young_symmetrizer(t)) == _typed(chain_young_symmetrizer(t)), t
+
+
+def test_young_symmetrizer_matches_the_chain_build_at_degree_8():
+    rng = random.Random(308)
+    for shape in partitions_of(8):
+        t = standard_tableaux(shape)[rng.randrange(hook_dimension(shape))]
+        y = young_symmetrizer(t)
+        assert _typed(y) == _typed(chain_young_symmetrizer(t)), t
+        assert y.support_size() == len(t.horizontal_group()) * len(t.vertical_group())
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_stabilizer_symmetrizer_matches_the_chain_build(degree):
+    rng = random.Random(320 + degree)
+    positions = range(1, degree + 1)
+    fixings = [set(c) for k in range(degree + 1) for c in combinations(positions, k)]
+    for fixed in fixings if degree <= 5 else rng.sample(fixings, 12) + [set()]:
+        for signed in (False, True):
+            got = stabilizer_symmetrizer(degree, fixed, signed)
+            assert _typed(got) == _typed(chain_stabilizer_symmetrizer(degree, fixed, signed)), (fixed, signed)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_subgroup_ranks_are_the_products_with_their_signs(degree):
+    # seeded blocks on top of seeded starting permutations with seeded signs, against a scan of S_r
+    rng = random.Random(330 + degree)
+    group = symmetric_group(degree)
+    for _ in range(4):
+        letters = rng.sample(range(1, degree + 1), degree)
+        cut = rng.randrange(degree + 1)
+        blocks = [letters[:cut], letters[cut:]]
+        start = rng.sample(group, min(3, len(group)))
+        start_signs = [rng.choice((1, -1)) for _ in start]
+        for signed in (False, True):
+            ranks, signs = _subgroup_ranks(degree, blocks, signed, [perm_rank(p) for p in start], start_signs)
+            subgroup = [g for g in group if all(g(v) in block for block in blocks for v in block)]
+            expected = [(perm_rank(p * g), s * (g.sign() if signed else 1))
+                        for p, s in zip(start, start_signs) for g in subgroup]
+            assert sorted(zip(ranks, signs)) == sorted(expected), (blocks, signed)
+    assert _subgroup_ranks(degree, [], True) == ([0], [1])
+
+
+def test_block_permutations_keep_their_product_order():
+    # the order the groups were listed in before they came from one enumeration
+    t = YoungTableau([[1, 4, 6], [2, 5], [3]])
+    for blocks, group in ((t.rows, t.horizontal_group()), (t.columns(), t.vertical_group())):
+        listed = []
+        for choice in product(*[permutations(block) for block in blocks]):
+            images = list(range(1, t.size + 1))
+            for block, rearranged in zip(blocks, choice):
+                for src, dst in zip(block, rearranged):
+                    images[src - 1] = dst
+            listed.append(Permutation(images))
+        assert group == listed

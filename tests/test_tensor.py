@@ -45,7 +45,6 @@ from symcurv import (
     weyl_dimension,
     young_symmetrizer,
 )
-from symcurv import group_ring as group_ring_module
 from symcurv import tensor as tensor_module
 from symcurv.group_ring import _swap
 from symcurv.linalg import RowBasis
@@ -233,9 +232,9 @@ def test_dense_action_splits_the_operator_once(monkeypatch):
     t = random_tensor(random.Random(19), 5, 3)
     assert 2 * t.coords.count(0) <= len(t.coords)  # the dense branch
     expected = direct_apply(a, t)
-    split = group_ring_module._stabilizer_blocks
+    split = tensor_module._factored
     calls = []
-    monkeypatch.setattr(group_ring_module, "_stabilizer_blocks", lambda terms: calls.append(1) or split(terms))
+    monkeypatch.setattr(tensor_module, "_factored", lambda op: calls.append(1) or split(op))
     _compiled_action.cache_clear()
     for _ in range(3):
         assert apply_operator(a, t) == expected
