@@ -3,6 +3,17 @@
 Every check is deterministic: fixed bases, fixed sample sets, exact
 arithmetic throughout. Reports carry a concrete witness string so a
 failure is actionable.
+
+The mixed-class span ranks are counted one weight at a time. The weight
+of an index is the count of each value 1..3 in it. A slot permutation
+keeps it, so the class images U, the pair bases S and y* split into
+weight spaces, and so does the span W of the products y*(u⊗s). U, S and
+y* also commute with GL(3), and permuting the index values by π ∈ S_3
+lies in GL(3), so it carries W_μ onto W_πμ. Hence dim W is the sum of
+|S_3·μ|·dim W_μ over the dominant weights μ, those whose counts do not
+increase, and only the products of dominant weight wt(u) + wt(s) are
+built (B. Sagan, The Symmetric Group, 2nd ed., §2.1; dim W_μ is the
+Kostka number K_(3 2),μ when W is the whole class).
 """
 
 from __future__ import annotations
@@ -10,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, count, permutations, product
+from operator import add
 from typing import Callable
 
 from .dft import fourier_eta, fourier_xi
@@ -19,7 +31,7 @@ from .linalg import RowBasis
 from .littlewood_richardson import admissible_pairs
 from .permutation import Permutation
 from .rationals import Rational, as_rational, format_rational
-from .tableaux import format_partition
+from .tableaux import format_partition, partitions_of
 from .tensor import (
     DenseTensor,
     alternating_basis,
@@ -50,6 +62,9 @@ NU_GENERATOR_CASES: tuple[Rational, ...] = (0, 1, -1, 2, Fraction(1, 2))
 MIXED_CLASS_CASES = tuple(product((*NU_GENERATOR_CASES, None), (1, -1), (False, True)))
 
 FULL_RANK_DIM3 = 15  # content-over-hook dimension of the order-5 class at n = 3
+
+# The dominant weights of order-5 dim-3 indices: partitions of 5 with at most 3 parts.
+DOMINANT_WEIGHTS = tuple((*mu, 0, 0)[:3] for mu in partitions_of(5) if len(mu) <= 3)
 
 
 @dataclass(frozen=True)
@@ -94,9 +109,15 @@ def _embedded_idempotent(nu: Rational | None, u_first: bool) -> GroupRingElement
     return class_idempotent(nu).embed(5, slots)
 
 
+def _check_product_type(epsilon: int, u_first: bool) -> None:
+    """Refuse a pair sign that is not the int +1 or -1, or an order that is not a bool."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, int) or epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be the int +1 or -1, got {epsilon!r}")
+    if not isinstance(u_first, bool):
+        raise ValueError(f"u_first must be a bool, got {u_first!r}")
+
+
 def _pair_symmetrizer(epsilon: int, u_first: bool) -> GroupRingElement:
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     a, b = (4, 5) if u_first else (1, 2)
     return GroupRingElement.identity(5) + epsilon * GroupRingElement.from_permutation(
         Permutation.transposition(5, a, b)
@@ -105,6 +126,7 @@ def _pair_symmetrizer(epsilon: int, u_first: bool) -> GroupRingElement:
 
 def sigma_element(nu: Rational | None, epsilon: int, u_first: bool) -> GroupRingElement:
     """Starred symmetrizer times pair symmetrizer times embedded idempotent."""
+    _check_product_type(epsilon, u_first)
     return (curvature_symmetrizer_star(1) * _pair_symmetrizer(epsilon, u_first)
             * _embedded_idempotent(nu, u_first))
 
@@ -246,31 +268,66 @@ def check_gamma_hat_generators() -> CheckReport:
                    f"both product orders match the closed form; span rank {span} = projector rank")
 
 
+def _weight(flat: int, order: int) -> tuple[int, int, int]:
+    """The count of each index value 1..3 in the index at this flat coordinate."""
+    counts = [0, 0, 0]
+    for _ in range(order):
+        flat, digit = divmod(flat, 3)
+        counts[digit] += 1
+    return tuple(counts)
+
+
+def _weight_of(t: DenseTensor) -> tuple[int, int, int]:
+    """The weight of a nonzero weight vector: that of its first nonzero coordinate."""
+    return _weight(next(compress(count(), t.coords)), t.order)
+
+
 @lru_cache(maxsize=8)
 def _class_image(nu: Rational | None) -> tuple[DenseTensor, ...]:
-    """The image of the class idempotent on order-3 tensors, as its primitive echelon rows."""
+    """The image of the class idempotent on order-3 tensors, as weight vectors.
+
+    The idempotent keeps weight, so each weight's coordinate vectors are
+    sent into that weight's space, and the primitive echelon rows of one
+    basis per weight are weight vectors that together span the image.
+    Weights that no pair weight lifts to a dominant one are skipped.
+    """
     e = class_idempotent(nu)
-    image = RowBasis()
-    for b in coordinate_basis(3, 3):
-        coords = apply_operator(e, b).coords
-        image.add(compress(enumerate(coords), coords))
-    return tuple(DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows)
+    lifts = {_weight(flat, 2) for flat in range(3 ** 2)}
+    images: dict[tuple[int, int, int], RowBasis] = {}
+    for flat, b in enumerate(coordinate_basis(3, 3)):
+        w = _weight(flat, 3)
+        if any(tuple(map(add, w, p)) in DOMINANT_WEIGHTS for p in lifts):
+            coords = apply_operator(e, b).coords
+            images.setdefault(w, RowBasis()).add(compress(enumerate(coords), coords))
+    return tuple(DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)])
+                 for image in images.values() for row in image.rows)
 
 
-def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> int:
-    """Span rank of starred-symmetrizer products for one class and product type."""
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
+def dominant_weight_ranks(nu: Rational | None, epsilon: int,
+                          u_first: bool) -> dict[tuple[int, int, int], int]:
+    """dim W_μ for each dominant weight μ of the span W of the products y*(u⊗s), or y*(s⊗u)."""
+    _check_product_type(epsilon, u_first)
     # normalized first: a float equal to a cached key must be refused, not served
     u_family = _class_image(None if nu is None else as_rational(nu))
     ystar = curvature_symmetrizer_star(1)
-    pair_family = symmetric_basis(3) if epsilon == 1 else alternating_basis(3)
-    products = []
+    pairs = [(_weight_of(s), s) for s in (symmetric_basis(3) if epsilon == 1 else alternating_basis(3))]
+    families: dict[tuple[int, int, int], list[DenseTensor]] = {mu: [] for mu in DOMINANT_WEIGHTS}
     for u in u_family:
-        for s in pair_family:
-            prod = tensor_product(u, s) if u_first else tensor_product(s, u)
-            products.append(apply_operator(ystar, prod))
-    return generator_span_rank(products)
+        w = _weight_of(u)
+        for p, s in pairs:
+            family = families.get(tuple(map(add, w, p)))
+            if family is not None:
+                family.append(apply_operator(ystar, tensor_product(u, s) if u_first else tensor_product(s, u)))
+    return {mu: generator_span_rank(family) for mu, family in families.items()}
+
+
+def mixed_class_span_rank(nu: Rational | None, epsilon: int, u_first: bool) -> int:
+    """Span rank of starred-symmetrizer products for one class and product type.
+
+    It is the sum over the dominant weights μ of |S_3·μ|·dim W_μ.
+    """
+    return sum(len(set(permutations(mu))) * rank
+               for mu, rank in dominant_weight_ranks(nu, epsilon, u_first).items())
 
 
 def _mixed_class_name(nu: Rational | None, epsilon: int, u_first: bool) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from itertools import permutations as _words
 from math import factorial, gcd, lcm
 from operator import itemgetter
@@ -27,7 +27,17 @@ from symcurv.group_ring import _factored, _inverse_table, _numerators, _position
 from symcurv.linalg import RowBasis, matrix, mat_transpose
 from symcurv.permutation import _rank_table
 from symcurv.rationals import as_rational, as_rationals
-from symcurv.tensor import _slot_lookup
+from symcurv.tensor import (
+    _slot_lookup,
+    alternating_basis,
+    apply_operator,
+    coordinate_basis,
+    curvature_symmetrizer_star,
+    generator_span_rank,
+    symmetric_basis,
+    tensor_product,
+)
+from symcurv.verify import class_idempotent
 
 
 def random_element(rng, degree: int, span: int = 3) -> GroupRingElement:
@@ -824,3 +834,41 @@ def fraction_mat_mul(a, b):
         tuple(as_rational(sum(x * y for x, y in zip(row, col))) for col in bt)
         for row in a
     )
+
+
+def full_product_span_rank(nu, epsilon, u_first):
+    """Rank of every product y*(u⊗s), or y*(s⊗u), over the class idempotent's whole order-3 image.
+
+    The one elimination over all products that the count over dominant
+    weights replaced, kept as its oracle: u runs over the echelon rows of
+    the idempotent's image of all 27 coordinate vectors, whatever their
+    weights.
+    """
+    e = class_idempotent(nu)
+    image = RowBasis()
+    for b in coordinate_basis(3, 3):
+        coords = apply_operator(e, b).coords
+        image.add((i, c) for i, c in enumerate(coords) if c)
+    u_family = [DenseTensor(3, 3, [row.get(i, 0) for i in range(3 ** 3)]) for row in image.rows]
+    ystar = curvature_symmetrizer_star(1)
+    pairs = symmetric_basis(3) if epsilon == 1 else alternating_basis(3)
+    return generator_span_rank(
+        apply_operator(ystar, tensor_product(u, s) if u_first else tensor_product(s, u))
+        for u in u_family for s in pairs)
+
+
+def kostka_count(shape, content):
+    """K_shape,content by brute force over fillings.
+
+    Counts the fillings of the shape by the values 1..len(content), with
+    content[v - 1] copies of v, whose rows weakly increase and whose
+    columns strictly increase.
+    """
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    found = 0
+    for values in product(range(1, len(content) + 1), repeat=len(cells)):
+        filling = dict(zip(cells, values))
+        found += (all(values.count(v) == k for v, k in enumerate(content, 1))
+                  and all(filling[r, c - 1] <= x for (r, c), x in filling.items() if c)
+                  and all(filling[r - 1, c] < x for (r, c), x in filling.items() if r))
+    return found

@@ -1,8 +1,16 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from operator import add
 
 import pytest
 
+from conftest import full_product_span_rank, kostka_count
+from symcurv import weyl_dimension
 from symcurv.verify import (
+    DOMINANT_WEIGHTS,
+    MIXED_CLASS_CASES,
+    NU_GENERATOR_CASES,
     CheckReport,
     all_mixed_class_checks,
     check_admissible_pairs,
@@ -11,6 +19,7 @@ from symcurv.verify import (
     check_mixed_class_generators,
     check_sigma_nonzero,
     check_xi_half_is_f,
+    dominant_weight_ranks,
     mixed_class_span_rank,
     run_all,
     sigma_element,
@@ -64,6 +73,50 @@ def test_excluded_class_spans_nothing():
     # the computed value for the excluded class: the products vanish outright
     assert mixed_class_span_rank(Fraction(1, 2), 1, False) == 0
     assert mixed_class_span_rank(Fraction(1, 2), -1, True) == 0
+
+
+# every mixed-class case, then two more generating classes at both signs and orders
+SPAN_RANK_CASES = MIXED_CLASS_CASES + tuple(
+    (nu, epsilon, u_first) for nu in (Fraction(1, 3), Fraction(-2, 3))
+    for epsilon in (1, -1) for u_first in (False, True))
+
+
+@pytest.mark.parametrize("case", SPAN_RANK_CASES, ids=str)
+def test_span_rank_by_dominant_weights_matches_the_full_product_span(case):
+    assert mixed_class_span_rank(*case) == full_product_span_rank(*case)
+
+
+def test_class_image_rows_are_weight_vectors():
+    import symcurv.verify as verify
+
+    order3 = set(permutations((3, 0, 0))) | set(permutations((2, 1, 0))) | {(1, 1, 1)}
+    pair = set(permutations((2, 0, 0))) | set(permutations((1, 1, 0)))
+    # each class is a copy of S^(2 1), so its weight-w space has dimension K_(2 1),w
+    want = Counter({w: kostka_count((2, 1), sorted(w, reverse=True)) for w in order3
+                    if any(tuple(map(add, w, p)) in DOMINANT_WEIGHTS for p in pair)})
+    for nu in (*NU_GENERATOR_CASES, None):
+        found = Counter()
+        for row in verify._class_image(nu):
+            weights = {verify._weight(i, 3) for i, c in enumerate(row.coords) if c}
+            assert len(weights) == 1, (nu, weights)
+            found.update(weights)
+        assert found == +want, nu
+
+
+def test_dominant_weight_spaces_have_the_kostka_dimensions():
+    kostka = {mu: kostka_count((3, 2), mu) for mu in DOMINANT_WEIGHTS}
+    assert list(kostka.values()) == [0, 0, 1, 1, 2]
+    assert sum(len(set(permutations(mu))) * k for mu, k in kostka.items()) == weyl_dimension((3, 2), 3)
+    for nu, epsilon, u_first in MIXED_CLASS_CASES:
+        want = {mu: 0 for mu in DOMINANT_WEIGHTS} if nu == Fraction(1, 2) else kostka
+        assert dominant_weight_ranks(nu, epsilon, u_first) == want, (nu, epsilon, u_first)
+
+
+@pytest.mark.parametrize("epsilon, u_first", [(1.0, False), (True, False), (1, "no"), (1, 2), (1, None)])
+@pytest.mark.parametrize("function", [mixed_class_span_rank, check_mixed_class_generators, sigma_element])
+def test_product_type_must_be_an_int_sign_and_a_bool_order(function, epsilon, u_first):
+    with pytest.raises(ValueError):
+        function(0, epsilon, u_first)
 
 
 def test_sigma_element_orders():
