@@ -53,7 +53,7 @@ from . import linalg, seminormal
 from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _require_degree
 from .linalg import Matrix, int_mat_mul
 from .permutation import Permutation, _rank_table
-from .rationals import Rational, as_rational
+from .rationals import ExactValue, Rational, as_rational
 from .seminormal import Block, Rows
 from .tableaux import (
     Partition,
@@ -211,16 +211,12 @@ def natural_rep_matrix(parts: Sequence[int], p: Permutation) -> Matrix:
 
 
 @dataclass(frozen=True)
-class BlockMatrixImage:
+class BlockMatrixImage(ExactValue):
     """The Fourier image of an element: one matrix per partition of r, from any block sequence."""
 
     __slots__ = ("degree", "blocks")
     degree: int
     blocks: tuple[Matrix, ...]
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
-        return type(self), (self.degree, self.blocks)
 
     def __post_init__(self):
         _require_degree(self.degree)

@@ -31,7 +31,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from operator import add, attrgetter, eq, itemgetter, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .permutation import Permutation, _indices, _rank_table, perm_rank
-from .rationals import Rational, all_ints, as_rational, as_rationals, format_rational, wire_json, wire_scalar
+from .rationals import ExactVector, Rational, all_ints, as_rational, as_rationals, format_rational, wire_entries, wire_shape
 
 # Dense storage is a length-r! vector; beyond S_8 that stops being sane.
 MAX_DEGREE = 8
@@ -62,11 +61,6 @@ def _int_positions(values: Iterable, what: str) -> list[int]:
     return values
 
 
-def _ranks(degree: int) -> tuple[int, ...]:
-    """0..r!-1 as the rank table's own int objects; every table below is gathered from them."""
-    return _indices(degree)
-
-
 def _inserted(degree: int, position: int, letter: int) -> Sequence[int]:
     """table[t] = index in S_r of q_t, the t-th word of S_{r-1}, with a letter put in.
 
@@ -77,7 +71,7 @@ def _inserted(degree: int, position: int, letter: int) -> Sequence[int]:
     first letter, so q_t's run b lands in run b, or b+1 when b >= letter,
     and inside it the map is the same one degree down.
     """
-    ranks, size = _ranks(degree), factorial(degree - 1)
+    ranks, size = _indices(degree), factorial(degree - 1)
     if not position:
         return ranks[letter * size:(letter + 1) * size]
     out: list[int] = []
@@ -98,7 +92,7 @@ def _inverse_table(degree: int) -> tuple[int, ...]:
     S_{r-1}. So run a is the table one degree down read through that map.
     """
     if degree == 1:
-        return tuple(_ranks(1))
+        return _indices(1)
     below = _positions(_inverse_table(degree - 1))
     return tuple(chain.from_iterable(below(_inserted(degree, a, 0)) for a in range(degree)))
 
@@ -121,10 +115,10 @@ def _swap_table(degree: int, i: int, j: int) -> tuple[int, ...]:
     each degree, so the degree cap bounds the cache.
     """
     if i:
-        return _by_runs(_ranks(degree), _swap_table(degree - 1, i - 1, j - 1))
+        return _by_runs(_indices(degree), _swap_table(degree - 1, i - 1, j - 1))
     if j == 1:
         # the run of (r-2)! words starting x+1, y+1 moves to the one starting y+1, x+1: y·(r-1) + x - (x > y)
-        ranks, run, n = _ranks(degree), factorial(degree - 2), degree - 1
+        ranks, run, n = _indices(degree), factorial(degree - 2), degree - 1
         return tuple(chain.from_iterable(ranks[s:s + run] for s in (
             (y * n + x - (x > y)) * run for x, y in permutations(range(degree), 2))))
     outer = _swap_table(degree, 0, 1)
@@ -281,16 +275,12 @@ def _factored(a: "GroupRingElement", two_sided: bool = True) -> Split:
 
 
 @dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(ExactVector):
     """An element of Q[S_r] with dense exact-rational coefficients, built from any sequence."""
 
     __slots__ = ("degree", "coeffs")
     degree: int
     coeffs: tuple[Rational, ...]
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
-        return type(self), (self.degree, self.coeffs)
 
     def __post_init__(self):
         _require_degree(self.degree)
@@ -304,8 +294,7 @@ class GroupRingElement:
 
     @classmethod
     def zero(cls, degree: int) -> "GroupRingElement":
-        _require_degree(degree)
-        return cls(degree, [0] * factorial(degree))
+        return cls.from_terms(degree, ())
 
     @classmethod
     def identity(cls, degree: int) -> "GroupRingElement":
@@ -331,35 +320,7 @@ class GroupRingElement:
             coeffs[perm_rank(perm)] += coeff
         return cls(degree, coeffs)
 
-    # -- ring structure --------------------------------------------------
-
-    def _check_degree(self, other: "GroupRingElement") -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check_degree(other)
-        return GroupRingElement(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check_degree(other)
-        return GroupRingElement(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.degree, [-a for a in self.coeffs])
-
-    def scale(self, c: Rational) -> "GroupRingElement":
-        c = as_rational(c)
-        return GroupRingElement(self.degree, [c * a for a in self.coeffs])
-
-    def __rmul__(self, c) -> "GroupRingElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
+    # -- ring structure (+, -, negation and scalars come from ExactVector) -----
 
     def __mul__(self, other) -> "GroupRingElement":
         """Convolution: (a*b)(s) = sum over p*q = s of a(p) b(q).
@@ -371,9 +332,8 @@ class GroupRingElement:
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, GroupRingElement):
+        if not self._matches(other):
             return NotImplemented
-        self._check_degree(other)
         den_a, mine = _numerators(self)
         den_b, left, theirs, right = _factored(other)
         rank = _rank_table(self.degree)
@@ -436,9 +396,6 @@ class GroupRingElement:
 
     def support_size(self) -> int:
         return sum(1 for c in self.coeffs if c)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         terms = self.terms()
@@ -524,24 +481,10 @@ class GroupRingElement:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GroupRingElement":
-        data = wire_json(data, dict, "element")
-        degree = wire_scalar(data["degree"], "degree", integer=True)
-        terms = {}
-        for entry in wire_json(data.get("terms", []), list, "terms"):
-            entry = wire_json(entry, dict, "term")
-            images = wire_json(entry["perm"], list, "perm")
-            perm = Permutation(wire_scalar(v, "permutation entry", integer=True) for v in images)
-            if perm in terms:
-                raise ValueError(f"duplicate permutation {list(perm.images)}")
-            terms[perm] = wire_scalar(entry["coeff"], "coefficient")
-        return cls.from_terms(degree, terms.items()) if terms else cls.zero(degree)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupRingElement":
-        return cls.from_dict(json.loads(text))
+        data, (degree,) = wire_shape(data, "element", ("degree",))
+        terms = wire_entries(data, "terms", "perm", "coeff",
+                             ("term", "permutation entry", "permutation", "coefficient"), key=Permutation)
+        return cls.from_terms(degree, terms.items())
 
 
 def _subgroup_ranks(degree: int, blocks: Iterable[Sequence[int]], signed: bool,

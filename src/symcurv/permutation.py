@@ -15,20 +15,20 @@ from itertools import permutations as _lex_words
 from math import factorial
 from typing import Iterable, Sequence
 
+from .rationals import ExactValue, all_ints
+
 
 @dataclass(frozen=True)
-class Permutation:
-    """An immutable bijection of {1..r}, built from any iterable of its images."""
+class Permutation(ExactValue):
+    """An immutable bijection of {1..r}, built from any iterable of its int images."""
 
     __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
-        return type(self), (self.images,)
-
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+        images = tuple(self.images)
+        if not all_ints(images):
+            raise ValueError(f"permutation images must be ints, got {list(images)}")
         if not images:
             raise ValueError("degree must be at least 1")
         if sorted(images) != list(range(1, len(images) + 1)):
@@ -45,11 +45,9 @@ class Permutation:
 
     @classmethod
     def transposition(cls, degree: int, a: int, b: int) -> "Permutation":
-        if not (1 <= a <= degree and 1 <= b <= degree) or a == b:
+        if not all_ints((a, b)) or not (1 <= a <= degree and 1 <= b <= degree) or a == b:
             raise ValueError(f"invalid transposition ({a} {b}) in degree {degree}")
-        images = list(range(1, degree + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(images)
+        return cls.from_cycles(degree, [(a, b)])
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -58,6 +56,8 @@ class Permutation:
         seen: set[int] = set()
         for cycle in cycles:
             cycle = list(cycle)
+            if not all_ints(cycle):
+                raise ValueError(f"cycle entries must be ints, got {cycle}")
             if any(not 1 <= v <= degree for v in cycle):
                 raise ValueError(f"cycle entry out of range 1..{degree}: {cycle}")
             if seen.intersection(cycle) or len(set(cycle)) != len(cycle):
@@ -123,15 +123,11 @@ class Permutation:
         parts = []
         for start in range(1, self.degree + 1):
             if start in seen or self(start) == start:
-                seen.add(start)
                 continue
             cycle = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
+            while self(cycle[-1]) != start:
+                cycle.append(self(cycle[-1]))
+            seen.update(cycle)
             parts.append("(" + " ".join(str(v) for v in cycle) + ")")
         return "".join(parts) or "()"
 

@@ -8,13 +8,22 @@ when every value is already an int (all_ints, the one such scan, which
 linalg's rows and the tensor kernels share). The kernels' outputs skip
 as_rationals only where every value is canonical by construction
 (tensor._kernel_output).
+
+The package's frozen value types share two bases: ExactValue pickles
+and copies every one of them through its constructor, and ExactVector
+gives the two coefficient vectors, GroupRingElement and DenseTensor, one
+vector arithmetic and one JSON text form. Both wire formats read their
+int shape fields through wire_shape and their entry lists through one
+reader, wire_entries.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import add, neg, sub
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -97,3 +106,116 @@ def wire_json(value, kind: type, what: str):
         wanted = "an object" if kind is dict else "an array"
         raise ValueError(f"{what} must be {wanted}, got {type(value).__name__}")
     return value
+
+
+def _wire_field(data: dict, field: str, what: str):
+    """data[field] of the JSON object named what; a missing field is a ValueError naming both."""
+    if field not in data:
+        raise ValueError(f"{what} has no field {field!r}")
+    return data[field]
+
+
+def wire_shape(data, what: str, shape: Sequence[str]) -> tuple[dict, list[int]]:
+    """(data, its int fields named in shape, in order) of a wire document, the JSON object named what."""
+    data = wire_json(data, dict, what)
+    return data, [wire_scalar(_wire_field(data, key, what), key, integer=True) for key in shape]
+
+
+def wire_entries(data: dict, field: str, index: str, value: str, names: tuple[str, str, str, str],
+                 key=tuple) -> dict:
+    """The entry list data[field] of a wire document, as a dict: both wire formats are read here.
+
+    The list, default empty, is an array of objects, each an int array
+    under index and an exact scalar under value, every index once. Each
+    index is passed through key before the repeat check, and the dict maps
+    key(index) to its scalar. names word the messages: an entry, an entry
+    of its index, a repeated index, its value.
+    """
+    entry, index_entry, repeated, value_name = names
+    entries = {}
+    for item in wire_json(data.get(field, []), list, field):
+        item = wire_json(item, dict, entry)
+        idx = tuple(wire_scalar(v, index_entry, integer=True)
+                    for v in wire_json(_wire_field(item, index, entry), list, index))
+        at = key(idx)
+        if at in entries:
+            raise ValueError(f"duplicate {repeated} {list(idx)}")
+        entries[at] = wire_scalar(_wire_field(item, value, entry), value_name)
+    return entries
+
+
+# -- value types ----------------------------------------------------------------
+
+
+class ExactValue:
+    """Base of the frozen value types: each is its __slots__, passed to its constructor in order."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class ExactVector(ExactValue):
+    """Base of the exact coefficient vectors: shape fields first, then one tuple of scalars.
+
+    Subclasses supply to_dict and a from_dict classmethod; the vector
+    arithmetic, is_zero and the JSON text form are shared.
+    """
+
+    __slots__ = ()
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def _values(self) -> tuple[Rational, ...]:
+        return getattr(self, self.__slots__[-1])
+
+    def _like(self, values) -> "ExactVector":
+        return type(self)(*self._shape(), values)
+
+    def _matches(self, other) -> bool:
+        """Whether other is a vector of this type; one of another shape is a ValueError."""
+        if not isinstance(other, type(self)):
+            return False
+        mine, theirs = self._shape(), other._shape()
+        if mine != theirs:
+            names = self.__slots__[:-1]
+            if len(names) == 1:
+                raise ValueError(f"{names[0]} mismatch: {mine[0]} vs {theirs[0]}")
+            shown = ("/".join(map("{} {}".format, names, shape)) for shape in (mine, theirs))
+            raise ValueError("shape mismatch: " + " vs ".join(shown))
+        return True
+
+    def __add__(self, other):
+        if not self._matches(other):
+            return NotImplemented
+        return self._like(list(map(add, self._values(), other._values())))
+
+    def __sub__(self, other):
+        if not self._matches(other):
+            return NotImplemented
+        return self._like(list(map(sub, self._values(), other._values())))
+
+    def __neg__(self):
+        return self._like(list(map(neg, self._values())))
+
+    def scale(self, c: Rational):
+        c = as_rational(c)
+        return self._like([c * a for a in self._values()])
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not any(self._values())
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))

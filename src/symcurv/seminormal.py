@@ -46,7 +46,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .group_ring import _inserted, _inverse_table, _positions, _ranks
+from .group_ring import _inserted, _inverse_table, _positions
 from .tableaux import Partition, standard_tableaux
 
 Rows = list[list[int]]
@@ -172,7 +172,7 @@ def recursion_order(degree: int) -> tuple[int, ...]:
     down read through the map that puts k last (group_ring._inserted).
     """
     if degree == 1:
-        return tuple(_ranks(1))
+        return (0,)
     below = _positions(recursion_order(degree - 1))
     return tuple(chain.from_iterable(below(_inserted(degree, degree - 1, k)) for k in range(degree)))
 

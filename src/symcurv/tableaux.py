@@ -16,17 +16,16 @@ truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from itertools import permutations as _words
 from itertools import product as _cartesian
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .group_ring import MAX_DEGREE, GroupRingElement, _scatter, _subgroup_ranks
 from .permutation import Permutation
-from .rationals import all_ints
+from .rationals import ExactValue, all_ints
 
 Partition = tuple[int, ...]
 
@@ -80,44 +79,41 @@ def _hook_lengths(parts: Partition) -> list[list[int]]:
             for i, row in enumerate(parts)]
 
 
+def _hook_product(parts: Partition) -> int:
+    """The product of the hook lengths of a partition that is already validated."""
+    return prod(chain.from_iterable(_hook_lengths(parts)))
+
+
 def hook_dimension(parts: Sequence[int]) -> int:
     """Number of standard tableaux of the shape: r! over the hook product."""
     parts = validate_partition(parts)
-    product = 1
-    for row in _hook_lengths(parts):
-        for h in row:
-            product *= h
-    return factorial(sum(parts)) // product
+    return factorial(sum(parts)) // _hook_product(parts)
 
 
 def weyl_dimension(parts: Sequence[int], dim: int) -> int:
     """Dimension of the irreducible GL(dim) module of this shape.
 
     The content-over-hook product; zero when the shape has more rows
-    than dim.
+    than dim. A dim that is not an int is refused, as partition parts are.
     """
     parts = validate_partition(parts)
+    if not all_ints((dim,)):
+        raise ValueError(f"dimension must be an int, got {dim!r}")
     if len(parts) > dim:
         return 0
-    value = Fraction(1)
-    for i, row in enumerate(_hook_lengths(parts)):
-        for j, h in enumerate(row):
-            value *= Fraction(dim + j - i, h)
-    if value.denominator != 1:
+    contents = prod(dim + j - i for i, row in enumerate(parts) for j in range(row))
+    value, remainder = divmod(contents, _hook_product(parts))
+    if remainder:
         raise ArithmeticError(f"non-integral dimension for {parts} at n={dim}")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)
-class YoungTableau:
+class YoungTableau(ExactValue):
     """A filling of a Young frame with 1..r, each exactly once, built from any iterable of rows."""
 
     __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
-        return type(self), (self.rows,)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))

@@ -28,7 +28,6 @@ Public indices are 1-based, matching the rest of the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -42,7 +41,7 @@ from .dft import block_ranks
 from .group_ring import MAX_DEGREE, GroupRingElement, _factored, _positions, _swap, _times_block_sum
 from .linalg import RowBasis
 from .permutation import Permutation, _rank_table, symmetric_group
-from .rationals import Rational, all_ints, as_rational, as_rationals, format_rational, wire_json, wire_scalar
+from .rationals import ExactVector, Rational, all_ints, as_rational, as_rationals, format_rational, wire_entries, wire_shape
 from .tableaux import curvature_tableau, partitions_of, weyl_dimension, young_symmetrizer
 
 # Dense coordinate count a tensor read from JSON may ask for.
@@ -63,17 +62,13 @@ def frame(vectors: Iterable[Iterable[Rational]]) -> FrameTuple:
 
 
 @dataclass(frozen=True)
-class DenseTensor:
+class DenseTensor(ExactVector):
     """Order-r tensor over an n-dimensional space, dense row-major storage from any sequence."""
 
     __slots__ = ("order", "dim", "coords")
     order: int
     dim: int
     coords: tuple[Rational, ...]
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as frozen fields refuse assignment
-        return type(self), (self.order, self.dim, self.coords)
 
     def __post_init__(self):
         if self.order < 1 or self.dim < 1:
@@ -92,9 +87,7 @@ class DenseTensor:
 
     @classmethod
     def basis(cls, order: int, dim: int, idx: Sequence[int]) -> "DenseTensor":
-        coords = [0] * dim ** order
-        coords[_flat(idx, order, dim)] = 1
-        return cls(order, dim, coords)
+        return cls.from_entries(order, dim, {tuple(idx): 1})
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
@@ -109,44 +102,10 @@ class DenseTensor:
         """The order-2 identity tensor."""
         return cls.from_entries(2, dim, {(i, i): 1 for i in range(1, dim + 1)})
 
-    # -- indexing and algebra ----------------------------------------------
+    # -- indexing (the vector arithmetic comes from ExactVector) ------------
 
     def __getitem__(self, idx: Sequence[int]) -> Rational:
         return self.coords[_flat(idx, self.order, self.dim)]
-
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        self._check_compatible(other)
-        return DenseTensor(self.order, self.dim,
-                           [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        self._check_compatible(other)
-        return DenseTensor(self.order, self.dim,
-                           [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "DenseTensor":
-        return DenseTensor(self.order, self.dim, [-a for a in self.coords])
-
-    def scale(self, c: Rational) -> "DenseTensor":
-        c = as_rational(c)
-        return DenseTensor(self.order, self.dim, [c * a for a in self.coords])
-
-    def __rmul__(self, c) -> "DenseTensor":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def _check_compatible(self, other: "DenseTensor") -> None:
-        if not isinstance(other, DenseTensor):
-            raise TypeError("expected a DenseTensor")
-        if self.order != other.order or self.dim != other.dim:
-            raise ValueError(
-                f"shape mismatch: order {self.order}/dim {self.dim} vs "
-                f"order {other.order}/dim {other.dim}"
-            )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __repr__(self) -> str:
         nonzero = sum(1 for c in self.coords if c)
@@ -182,29 +141,13 @@ class DenseTensor:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DenseTensor":
-        data = wire_json(data, dict, "tensor")
-        order = wire_scalar(data["order"], "order", integer=True)
-        dim = wire_scalar(data["dim"], "dim", integer=True)
+        data, (order, dim) = wire_shape(data, "tensor", ("order", "dim"))
         if not 1 <= order <= MAX_DEGREE:
             raise ValueError(f"order must be in 1..{MAX_DEGREE}, got {order}")
         if dim < 1 or dim ** order > MAX_WIRE_COORDS:
             raise ValueError(f"need dim >= 1 and dim**{order} <= {MAX_WIRE_COORDS}, got dim {dim}")
-        entries = {}
-        for item in wire_json(data.get("coords", []), list, "coords"):
-            item = wire_json(item, dict, "coordinate")
-            idx = tuple(wire_scalar(v, "index entry", integer=True)
-                        for v in wire_json(item["idx"], list, "idx"))
-            if idx in entries:
-                raise ValueError(f"duplicate coordinate {list(idx)}")
-            entries[idx] = wire_scalar(item["val"], "value")
-        return cls.from_entries(order, dim, entries)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DenseTensor":
-        return cls.from_dict(json.loads(text))
+        return cls.from_entries(order, dim, wire_entries(data, "coords", "idx", "val",
+                                                         ("coordinate", "index entry", "coordinate", "value")))
 
 
 def _flat(idx: Sequence[int], order: int, dim: int) -> int:

@@ -117,18 +117,16 @@ def _check_product_type(epsilon: int, u_first: bool) -> None:
         raise ValueError(f"u_first must be a bool, got {u_first!r}")
 
 
-def _pair_symmetrizer(epsilon: int, u_first: bool) -> GroupRingElement:
-    a, b = (4, 5) if u_first else (1, 2)
-    return GroupRingElement.identity(5) + epsilon * GroupRingElement.from_permutation(
-        Permutation.transposition(5, a, b)
-    )
-
-
 def sigma_element(nu: Rational | None, epsilon: int, u_first: bool) -> GroupRingElement:
-    """Starred symmetrizer times pair symmetrizer times embedded idempotent."""
+    """Starred symmetrizer times pair symmetrizer times embedded idempotent.
+
+    The pair symmetrizer id + epsilon·(a b), on positions 4, 5 when
+    u_first and 1, 2 otherwise, is the sum over the permutations fixing
+    the other three, signed when epsilon = -1.
+    """
     _check_product_type(epsilon, u_first)
-    return (curvature_symmetrizer_star(1) * _pair_symmetrizer(epsilon, u_first)
-            * _embedded_idempotent(nu, u_first))
+    pair = stabilizer_symmetrizer(5, (1, 2, 3) if u_first else (3, 4, 5), signed=epsilon < 0)
+    return curvature_symmetrizer_star(1) * pair * _embedded_idempotent(nu, u_first)
 
 
 def _class_label(nu: Rational | None) -> str:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -15,6 +17,20 @@ def test_rejects_non_bijections():
         Permutation([0, 1])
     with pytest.raises(ValueError):
         Permutation([])
+
+
+@pytest.mark.parametrize("images", [[2.7, 1], [2.0, 1], ["2", "1"], [True, 2], [Fraction(2), 1]], ids=repr)
+def test_rejects_non_int_images(images):
+    # int() would truncate 2.7 to 2 and read True as 1
+    with pytest.raises(ValueError, match="must be ints"):
+        Permutation(images)
+
+
+def test_transposition_and_cycles_reject_non_int_points():
+    for build in (lambda: Permutation.transposition(3, 1.0, 2), lambda: Permutation.transposition(3, True, 2),
+                  lambda: Permutation.from_cycles(3, [[1.0, 2]]), lambda: Permutation.from_cycles(3, [["1", "2"]])):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_compose_identity_law():

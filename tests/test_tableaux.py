@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from conftest import (chain_stabilizer_symmetrizer, chain_young_symmetrizer, scanned_stabilizer_symmetrizer,
-                      sorted_standard_tableaux)
+from conftest import (chain_stabilizer_symmetrizer, chain_young_symmetrizer, kostka_count,
+                      scanned_stabilizer_symmetrizer, sorted_standard_tableaux)
 from symcurv import (
     GroupRingElement,
     Permutation,
@@ -186,6 +186,29 @@ def test_weyl_dimension_values():
     assert weyl_dimension((2, 2), 2) == 1
     assert weyl_dimension((2, 1), 3) == 8
     assert weyl_dimension((1, 1, 1), 2) == 0
+    # the int products never meet a float: a dim that is not an int is refused, not computed with
+    for dim in (3.0, True, Fraction(3), Fraction(7, 2)):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            weyl_dimension((2, 1), dim)
+
+
+def test_weyl_dimension_is_the_kostka_sum():
+    # the semistandard tableaux with entries <= n, counted by weight: each partition weight mu
+    # stands for its rearrangements into n values, zeros included
+    for weight in range(1, 7):
+        shapes = partitions_of(weight)
+        kostka = {(shape, mu): kostka_count(shape, mu) for shape in shapes for mu in shapes if len(mu) <= 4}
+        for n in range(1, 5):
+            for shape in shapes:
+                want = 0
+                for mu in shapes:
+                    if len(mu) <= n:
+                        padded = mu + (0,) * (n - len(mu))
+                        rearrangements = factorial(n)
+                        for v in set(padded):
+                            rearrangements //= factorial(padded.count(v))
+                        want += kostka[shape, mu] * rearrangements
+                assert weyl_dimension(shape, n) == want, (shape, n)
 
 
 def test_pretty_renders_rows():

@@ -93,6 +93,59 @@ def test_duplicate_term_is_refused_by_every_reader(tmp_path, capsys):
     assert GroupRingElement.from_terms(2, [([1, 2], 1), ([1, 2], 1)]).coeffs == (2, 0)
 
 
+# every required field, dropped in turn: (document, path to the field, the object the message names)
+MISSING_FIELDS = {
+    "element_degree": (ELEMENT, ("degree",), "element"),
+    "term_perm": (ELEMENT, ("terms", 0, "perm"), "term"),
+    "term_coeff": (ELEMENT, ("terms", 0, "coeff"), "term"),
+    "tensor_order": (TENSOR, ("order",), "tensor"),
+    "tensor_dim": (TENSOR, ("dim",), "tensor"),
+    "coordinate_idx": (TENSOR, ("coords", 0, "idx"), "coordinate"),
+    "coordinate_val": (TENSOR, ("coords", 0, "val"), "coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_FIELDS))
+def test_missing_field_is_named_and_exits_2(case, tmp_path, capsys):
+    source, path, what = MISSING_FIELDS[case]
+    kind, command = (GroupRingElement, "fourier") if source is ELEMENT else (DenseTensor, "check-tensor")
+    doc = json.loads(json.dumps(source))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    message = f"{what} has no field {path[-1]!r}"
+    with pytest.raises(ValueError) as excinfo:
+        kind.from_dict(doc)
+    assert str(excinfo.value) == message
+    file = tmp_path / "document.json"
+    file.write_text(json.dumps(doc))
+    assert main([command, str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# documents with two faults: the shape is checked before any entry, and each permutation
+# before the repeat check and its coefficient, so the first message is the one shown
+TWO_FAULTS = {
+    "order_then_index": (DenseTensor, _with(_with(TENSOR, ("order",), 9), ("coords", 0, "idx"), [1.5]),
+                         "order must be in 1..8, got 9"),
+    "dim_then_missing_idx": (DenseTensor, {"order": 2, "dim": 0, "coords": [{"val": 1}]},
+                             "need dim >= 1 and dim**2 <= 1048576, got dim 0"),
+    "bijection_then_repeat": (GroupRingElement, {"degree": 2, "terms": [{"perm": [1, 1], "coeff": 1}] * 2},
+                              "not a bijection of 1..2: [1, 1]"),
+    "bijection_then_missing_coeff": (GroupRingElement, {"degree": 2, "terms": [{"perm": [1, 1]}]},
+                                     "not a bijection of 1..2: [1, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_first_fault_in_reading_order_is_reported(case):
+    kind, doc, message = TWO_FAULTS[case]
+    with pytest.raises(ValueError) as excinfo:
+        kind.from_dict(doc)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
 def test_bad_tensor_document_exits_2(case, tmp_path, capsys):
     path = tmp_path / "tensor.json"
